@@ -42,7 +42,10 @@ def busy_phase_profile(
     ALUs hot with the memory interface partly idle, and vice versa.
 
     Power levels are chosen around ``mean_watts`` with an exact
-    time-weighted mean of ``mean_watts``.
+    time-weighted mean of ``mean_watts``.  Every repeat of a run has the
+    same phases, so the meter window
+    (:func:`repro.instruments.testbed.wall_profile`) derives them once
+    per cell and tiles them.
     """
     total = record.gpu_busy_seconds
     if total <= 0:

@@ -9,14 +9,13 @@ the :class:`~repro.instruments.testbed.Testbed` measurement protocol
 """
 
 from repro.instruments.host import HostSystem
-from repro.instruments.powermeter import PowerMeter, PowerPhase, PowerTrace
+from repro.instruments.powermeter import PowerMeter, PowerTrace
 from repro.instruments.profiler import CudaProfiler
 from repro.instruments.testbed import Measurement, Testbed
 
 __all__ = [
     "HostSystem",
     "PowerMeter",
-    "PowerPhase",
     "PowerTrace",
     "CudaProfiler",
     "Measurement",

@@ -16,22 +16,18 @@ per-attempt, stateful, and rare, so faulty units keep the scalar path
 
 from __future__ import annotations
 
-import math
-
 from repro.arch.dvfs import OperatingPoint
 from repro.arch.specs import GPUSpec
 from repro.engine.batch import BatchSimulator, content_fingerprint
 from repro.engine.counters import counter_set
 from repro.engine.noise import lognormal_factor
-from repro.engine.phases import busy_phase_profile
-from repro.engine.simulator import RunRecord
 from repro.instruments.host import HostSystem
-from repro.instruments.powermeter import PowerMeter, PowerPhase
+from repro.instruments.powermeter import PowerMeter
 from repro.instruments.profiler import (
     EXTRAPOLATION_BIAS_CV,
     OBSERVATION_NOISE_SCALE,
 )
-from repro.instruments.testbed import MIN_MEASURE_WINDOW_S, Measurement
+from repro.instruments.testbed import Measurement, repeats_for, wall_profile
 from repro.kernels.profile import KernelSpec
 from repro.rng import StreamBank
 
@@ -77,9 +73,7 @@ class BatchMeasurer:
     # vectorized seeding
     # ------------------------------------------------------------------
 
-    def prepare(
-        self, cells: "list[tuple[KernelSpec, float, OperatingPoint]]"
-    ) -> None:
+    def prepare(self, cells: "list[tuple[KernelSpec, float, OperatingPoint]]") -> None:
         """Vector-seed every stream the given measurement cells draw."""
         self.sim.prepare(cells)
         g = self.gpu.name
@@ -114,9 +108,7 @@ class BatchMeasurer:
     def _profiler_bank(self, profiler_seed: int | None) -> StreamBank:
         bank = self._profiler_banks.get(profiler_seed)
         if bank is None:
-            bank = self._profiler_banks[profiler_seed] = StreamBank(
-                profiler_seed
-            )
+            bank = self._profiler_banks[profiler_seed] = StreamBank(profiler_seed)
         return bank
 
     # ------------------------------------------------------------------
@@ -149,16 +141,14 @@ class BatchMeasurer:
         self, kernel: KernelSpec, scale: float, op: OperatingPoint
     ) -> Measurement:
         record = self.sim.record(kernel, scale, op)
-        busy = record.gpu_busy_seconds
-        if busy >= MIN_MEASURE_WINDOW_S:
-            repeats = 1
-        else:
-            repeats = max(1, math.ceil(MIN_MEASURE_WINDOW_S / busy))
-        phases = self._wall_profile(record, repeats)
+        repeats = repeats_for(record)
+        durations, watts = wall_profile(
+            record, self.host, self._host_factor(kernel), repeats
+        )
         rng = self.sim.streams.stream(
             "meter", self.gpu.name, kernel.name, scale, op.key
         )
-        trace = self.meter.record(phases, rng)
+        trace = self.meter.record(durations, watts, rng)
         energy_j = trace.energy_j / repeats
         return Measurement(
             gpu=self.gpu,
@@ -177,32 +167,9 @@ class BatchMeasurer:
         key = content_fingerprint(kernel)
         factor = self._host_factors.get(key)
         if factor is None:
-            host_rng = self.sim.streams.stream(
-                "host-power", self.gpu.name, kernel.name
-            )
+            host_rng = self.sim.streams.stream("host-power", self.gpu.name, kernel.name)
             factor = self._host_factors[key] = lognormal_factor(host_rng, 0.12)
         return factor
-
-    def _wall_profile(
-        self, record: RunRecord, repeats: int
-    ) -> list[PowerPhase]:
-        # Mirrors Testbed._wall_profile exactly.
-        host_factor = self._host_factor(record.kernel)
-        host_phase_w = self.host.wall_power(
-            self.host.active_power_w * host_factor + record.gpu_idle_power_w
-        )
-        gpu_phase_w = self.host.wall_power(
-            self.host.idle_power_w * host_factor + record.gpu_active_power_w
-        )
-        phases: list[PowerPhase] = []
-        for _ in range(repeats):
-            if record.idle_seconds > 0:
-                phases.append(PowerPhase(record.idle_seconds, host_phase_w))
-            phases.extend(
-                PowerPhase(p.duration_s, p.watts)
-                for p in busy_phase_profile(record, gpu_phase_w)
-            )
-        return phases
 
     # ------------------------------------------------------------------
     # profiler (mirrors CudaProfiler.profile, fault-free path)
@@ -279,9 +246,7 @@ _SHARED: dict[tuple[int, int | None], BatchMeasurer] = {}
 _SHARED_CAP = 64
 
 
-def shared_batch_measurer(
-    gpu: GPUSpec, seed: int | None = None
-) -> BatchMeasurer:
+def shared_batch_measurer(gpu: GPUSpec, seed: int | None = None) -> BatchMeasurer:
     """This process's memoized default batch measurer for a card."""
     key = (content_fingerprint(gpu), seed)
     measurer = _SHARED.get(key)

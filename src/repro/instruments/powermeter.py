@@ -9,9 +9,9 @@ to produce at least 10 samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.errors import MeasurementError
 
@@ -22,20 +22,6 @@ SAMPLE_INTERVAL_S = 0.05
 #: benchmarks to a >= 500 ms busy window precisely so the 50 ms meter
 #: collects at least this many.
 MIN_VALID_SAMPLES = 10
-
-
-@dataclass(frozen=True)
-class PowerPhase:
-    """A piecewise-constant segment of the wall-power profile."""
-
-    duration_s: float
-    watts: float
-
-    def __post_init__(self) -> None:
-        if self.duration_s < 0:
-            raise ValueError(f"phase duration must be >= 0, got {self.duration_s}")
-        if self.watts < 0:
-            raise ValueError(f"phase power must be >= 0, got {self.watts}")
 
 
 @dataclass(frozen=True)
@@ -132,14 +118,29 @@ class PowerMeter:
         self.adc_noise_cv = adc_noise_cv
 
     def record(
-        self, phases: Sequence[PowerPhase], rng: np.random.Generator
+        self, durations: ArrayLike, watts: ArrayLike, rng: np.random.Generator
     ) -> PowerTrace:
-        """Sample a piecewise-constant power profile.
+        """Sample a piecewise-constant power profile given as columns.
 
-        Each sample reads the instantaneous power at its sample point;
-        the profile must be long enough for at least one sample.
+        Phase ``i`` lasts ``durations[i]`` seconds at ``watts[i]``.  Each
+        sample reads the instantaneous power at its sample point; the
+        profile must be long enough for at least one sample.
         """
-        total = sum(p.duration_s for p in phases)
+        durations = np.asarray(durations, dtype=float)
+        watts = np.asarray(watts, dtype=float)
+        if durations.shape != watts.shape or durations.ndim != 1:
+            raise ValueError(
+                f"durations {durations.shape} and watts {watts.shape} must be "
+                "1-d columns of one length"
+            )
+        if (durations < 0).any():
+            raise ValueError(f"phase duration must be >= 0, got {durations.min()}")
+        if (watts < 0).any():
+            raise ValueError(f"phase power must be >= 0, got {watts.min()}")
+        # cumsum adds sequentially, so the last edge is the profile length
+        # exactly as a left-to-right sum of the durations gives it.
+        edges = np.cumsum(durations)
+        total = float(edges[-1]) if edges.size else 0.0
         n = int(total / self.interval_s)
         if n < 1:
             raise MeasurementError(
@@ -148,10 +149,8 @@ class PowerMeter:
             )
         # Sample at interval midpoints.
         times = (np.arange(n) + 0.5) * self.interval_s
-        edges = np.cumsum([p.duration_s for p in phases])
         idx = np.searchsorted(edges, times, side="right")
-        idx = np.minimum(idx, len(phases) - 1)
-        watts = np.array([phases[i].watts for i in idx], dtype=float)
+        samples = watts[np.minimum(idx, edges.size - 1)]
         if self.adc_noise_cv:
-            watts = watts * (1.0 + rng.normal(0.0, self.adc_noise_cv, size=n))
-        return PowerTrace(samples=np.maximum(watts, 0.0), interval_s=self.interval_s)
+            samples = samples * (1.0 + rng.normal(0.0, self.adc_noise_cv, size=n))
+        return PowerTrace(samples=np.maximum(samples, 0.0), interval_s=self.interval_s)

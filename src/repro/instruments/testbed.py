@@ -17,13 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.arch.dvfs import ClockLevel, OperatingPoint, coerce_levels, pair_key
 from repro.arch.specs import GPUSpec
 from repro.engine.phases import busy_phase_profile
 from repro.engine.simulator import GPUSimulator, RunRecord
 from repro.errors import MeasurementError
 from repro.instruments.host import HostSystem
-from repro.instruments.powermeter import PowerMeter, PowerPhase, PowerTrace
+from repro.instruments.powermeter import PowerMeter, PowerTrace
 from repro.engine.noise import lognormal_factor
 from repro.kernels.profile import KernelSpec
 from repro.rng import stable_hash, stream
@@ -31,6 +33,46 @@ from repro.telemetry.runtime import current_telemetry
 
 #: Minimum GPU-busy window the paper enforces before measuring.
 MIN_MEASURE_WINDOW_S = 0.5
+
+
+def repeats_for(record: RunRecord) -> int:
+    """Paper protocol: repeat the kernel until >= 500 ms of GPU work."""
+    busy = record.gpu_busy_seconds
+    if busy >= MIN_MEASURE_WINDOW_S:
+        return 1
+    return max(1, math.ceil(MIN_MEASURE_WINDOW_S / busy))
+
+
+def wall_profile(
+    record: RunRecord, host: HostSystem, host_factor: float, repeats: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Piecewise-constant wall-power profile of the repeated run.
+
+    Returns ``(durations, watts)`` columns for :meth:`PowerMeter.record`.
+    ``host_factor`` scales host-side power, which depends on what the
+    benchmark's CPU code does (polling vs blocking sync, input
+    generation) — structure no GPU counter observes.  One run is an
+    optional host phase (CPU active, GPU idle: host work and PCIe
+    transfers) followed by the busy window's compute/memory stretches
+    (``engine.phases``); every repeat is identical, so one run is built
+    and tiled ``repeats`` times.
+    """
+    host_phase_w = host.wall_power(
+        host.active_power_w * host_factor + record.gpu_idle_power_w
+    )
+    gpu_phase_w = host.wall_power(
+        host.idle_power_w * host_factor + record.gpu_active_power_w
+    )
+    busy = busy_phase_profile(record, gpu_phase_w)
+    durations = [p.duration_s for p in busy]
+    watts = [p.watts for p in busy]
+    if record.idle_seconds > 0:
+        durations.insert(0, record.idle_seconds)
+        watts.insert(0, host_phase_w)
+    return (
+        np.tile(np.array(durations, dtype=float), repeats),
+        np.tile(np.array(watts, dtype=float), repeats),
+    )
 
 
 @dataclass(frozen=True)
@@ -171,9 +213,12 @@ class Testbed:
             benchmark=kernel.name,
         ) as window_span:
             record: RunRecord = self.sim.run(kernel, scale)
-            repeats = self._repeats_for(record)
-            phases = self._wall_profile(record, repeats)
-            trace = self._record_with_quorum(record, kernel, scale, phases)
+            repeats = repeats_for(record)
+            host_rng = stream("host-power", self.gpu.name, kernel.name, seed=self._seed)
+            profile = wall_profile(
+                record, self.host, lognormal_factor(host_rng, 0.12), repeats
+            )
+            trace = self._record_with_quorum(record, kernel, scale, profile)
             window_span.attrs["pair"] = record.op.key
             window_span.attrs["repeats"] = repeats
             telemetry.metrics.inc("meter.windows")
@@ -243,7 +288,7 @@ class Testbed:
         record: RunRecord,
         kernel: KernelSpec,
         scale: float,
-        phases: list[PowerPhase],
+        profile: tuple[np.ndarray, np.ndarray],
     ) -> PowerTrace:
         """Record the meter trace, re-measuring until the quorum holds.
 
@@ -265,7 +310,7 @@ class Testbed:
                 coords += ["re-measure", measure_attempt]
                 current_telemetry().metrics.inc("meter.re_measurements")
             rng = stream(*coords, seed=self._seed)
-            candidate = self.meter.record(phases, rng)
+            candidate = self.meter.record(*profile, rng)
             if self.injector is not None:
                 samples, valid = self.injector.corrupt_samples(
                     candidate.samples,
@@ -286,46 +331,6 @@ class Testbed:
                 break
         assert trace is not None
         return trace
-
-    # ------------------------------------------------------------------
-    # protocol internals
-    # ------------------------------------------------------------------
-
-    def _repeats_for(self, record: RunRecord) -> int:
-        """Paper protocol: repeat the kernel until >= 500 ms of GPU work."""
-        busy = record.gpu_busy_seconds
-        if busy >= MIN_MEASURE_WINDOW_S:
-            return 1
-        return max(1, math.ceil(MIN_MEASURE_WINDOW_S / busy))
-
-    def _wall_profile(self, record: RunRecord, repeats: int) -> list[PowerPhase]:
-        """Piecewise-constant wall-power profile of the repeated run."""
-        phases: list[PowerPhase] = []
-        # Host-side power depends on what the benchmark's CPU code does
-        # (polling vs blocking sync, input generation) — structure that
-        # no GPU counter observes.
-        host_rng = stream(
-            "host-power", self.gpu.name, record.kernel.name, seed=self._seed
-        )
-        host_factor = lognormal_factor(host_rng, 0.12)
-        host_phase_w = self.host.wall_power(
-            self.host.active_power_w * host_factor + record.gpu_idle_power_w
-        )
-        gpu_phase_w = self.host.wall_power(
-            self.host.idle_power_w * host_factor + record.gpu_active_power_w
-        )
-        for _ in range(repeats):
-            if record.idle_seconds > 0:
-                # Host work and PCIe transfers: CPU active, GPU idle.
-                phases.append(PowerPhase(record.idle_seconds, host_phase_w))
-            # The busy window alternates compute- and memory-dominated
-            # stretches derived from the run's own timing decomposition
-            # (energy-preserving by construction; engine.phases).
-            phases.extend(
-                PowerPhase(p.duration_s, p.watts)
-                for p in busy_phase_profile(record, gpu_phase_w)
-            )
-        return phases
 
 
 # ----------------------------------------------------------------------

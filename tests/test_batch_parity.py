@@ -96,10 +96,16 @@ class TestGridShims:
 
     def test_testbed_measure_grid_matches_scalar_protocol(self):
         gpu = get_gpu("GTX 460")
-        kernel = get_benchmark("nn")
-        cells = [(kernel, 0.25, op) for op in gpu.operating_points()]
+        # nn at 0.25 repeats twice; hotspot and gaussian at 0.05 repeat 6
+        # and 11 times.  All three open each run with a host phase.
+        cells = [
+            (get_benchmark(name), scale, op)
+            for name, scale in (("nn", 0.25), ("hotspot", 0.05), ("gaussian", 0.05))
+            for op in gpu.operating_points()
+        ]
         batch = Testbed(gpu).measure_grid(cells)
         scalar_bed = Testbed(gpu)
+        idle_and_repeated = 0
         for (kernel, scale, op), m in zip(cells, batch):
             scalar_bed.set_clocks(op.core_level, op.mem_level)
             ref = scalar_bed.measure(kernel, scale)
@@ -107,7 +113,10 @@ class TestGridShims:
             assert ref.avg_power_w == m.avg_power_w
             assert ref.energy_j == m.energy_j
             assert ref.repeats == m.repeats
-            assert np.array_equal(ref.trace.samples, m.trace.samples)
+            assert ref.trace.samples.tobytes() == m.trace.samples.tobytes()
+            record = scalar_bed.sim.run(kernel, scale)
+            idle_and_repeated += record.idle_seconds > 0 and m.repeats > 1
+        assert idle_and_repeated >= len(cells) // 2
 
 
 def _payloads_equal(scalar, fast) -> bool:

@@ -10,7 +10,7 @@ from repro.analysis.traces import segment_trace, trace_statistics
 from repro.arch.specs import get_gpu
 from repro.core.dataset import build_dataset
 from repro.core.models import UnifiedPowerModel
-from repro.instruments.powermeter import PowerMeter, PowerPhase, PowerTrace
+from repro.instruments.powermeter import PowerMeter, PowerTrace
 from repro.instruments.testbed import Testbed
 from repro.kernels.suites import get_benchmark, modeling_benchmarks
 from repro.rng import stream
@@ -57,12 +57,9 @@ class TestBootstrap:
 class TestTraceAnalysis:
     def _bimodal_trace(self):
         meter = PowerMeter(adc_noise_cv=0.0)
-        phases = [
-            PowerPhase(1.0, 100.0),
-            PowerPhase(2.0, 300.0),
-            PowerPhase(0.5, 100.0),
-        ]
-        return meter.record(phases, stream("trace-test"))
+        return meter.record(
+            [1.0, 2.0, 0.5], [100.0, 300.0, 100.0], stream("trace-test")
+        )
 
     def test_segments_bimodal_trace(self):
         summary = segment_trace(self._bimodal_trace())

@@ -26,6 +26,7 @@ from repro.execution import (
     sweep_units,
 )
 from repro.kernels.suites import get_benchmark
+from repro.session import RunContext
 
 #: Small benchmark set keeping unit counts (and test wall time) low.
 BENCH_NAMES = ("nn", "hotspot", "lud")
@@ -255,10 +256,9 @@ class TestSweepDeterminism:
     def test_serial_parallel_tables_identical(self):
         gpu = get_gpu("GTX 680")
         benchmarks = [get_benchmark(n) for n in BENCH_NAMES]
-        serial = FrequencySweep(gpu, seed=5).run(benchmarks)
-        parallel = FrequencySweep(gpu, seed=5).run(
-            benchmarks, execution=ExecutionConfig(jobs=3)
-        )
+        serial = FrequencySweep(gpu, ctx=RunContext.resolve(seed=5)).run(benchmarks)
+        parallel_ctx = RunContext.resolve(seed=5, execution=ExecutionConfig(jobs=3))
+        parallel = FrequencySweep(gpu, ctx=parallel_ctx).run(benchmarks)
         assert serial.benchmark_names == parallel.benchmark_names
         for name in serial.benchmark_names:
             assert serial.pairs_for(name) == parallel.pairs_for(name)
@@ -274,7 +274,7 @@ class TestSweepDeterminism:
     def test_run_benchmark_wrapper_matches_run(self):
         gpu = get_gpu("GTX 480")
         bench = get_benchmark("nn")
-        sweep = FrequencySweep(gpu, seed=2)
+        sweep = FrequencySweep(gpu, ctx=RunContext.resolve(seed=2))
         by_wrapper = sweep.run_benchmark(bench)
         by_run = sweep.run([bench])
         assert tuple(by_wrapper) == by_run.pairs_for("nn")
@@ -287,28 +287,27 @@ class TestDatasetDeterminism:
     def test_serial_parallel_datasets_identical(self, jobs):
         gpu = get_gpu("GTX 460")
         benchmarks = [get_benchmark(n) for n in BENCH_NAMES]
-        serial = build_dataset(gpu, benchmarks=benchmarks, seed=9)
+        serial = build_dataset(
+            gpu, benchmarks=benchmarks, ctx=RunContext.resolve(seed=9)
+        )
         parallel = build_dataset(
             gpu,
             benchmarks=benchmarks,
-            seed=9,
-            execution=ExecutionConfig(jobs=jobs),
+            ctx=RunContext.resolve(seed=9, execution=ExecutionConfig(jobs=jobs)),
         )
         assert dataset_to_json(serial) == dataset_to_json(parallel)
 
     def test_cached_dataset_identical_and_all_hits(self, tmp_path):
         gpu = get_gpu("GTX 460")
         benchmarks = [get_benchmark(n) for n in BENCH_NAMES]
-        config = ExecutionConfig(jobs=2, cache_dir=tmp_path / "cache")
-        stats = ExecutionStats()
-        first = build_dataset(
-            gpu, benchmarks=benchmarks, seed=9, execution=config, stats=stats
+        ctx = RunContext.resolve(
+            seed=9, execution=ExecutionConfig(jobs=2, cache_dir=tmp_path / "cache")
         )
+        stats = ExecutionStats()
+        first = build_dataset(gpu, benchmarks=benchmarks, ctx=ctx, stats=stats)
         assert stats.measured == stats.total_units > 0
         again = ExecutionStats()
-        second = build_dataset(
-            gpu, benchmarks=benchmarks, seed=9, execution=config, stats=again
-        )
+        second = build_dataset(gpu, benchmarks=benchmarks, ctx=ctx, stats=again)
         assert again.cache_hits == again.total_units
         assert again.measured == 0
         assert dataset_to_json(first) == dataset_to_json(second)
@@ -317,7 +316,9 @@ class TestDatasetDeterminism:
         gpu = get_gpu("GTX 480")
         benchmarks = [get_benchmark("nn"), get_benchmark("backprop")]
         ds = build_dataset(
-            gpu, benchmarks=benchmarks, execution=ExecutionConfig(jobs=2)
+            gpu,
+            benchmarks=benchmarks,
+            ctx=RunContext.resolve(execution=ExecutionConfig(jobs=2)),
         )
         # backprop is one of the four the paper's profiler failed on.
         assert "backprop" not in ds.benchmarks
@@ -332,9 +333,10 @@ class TestCampaignParallel:
         return Campaign(
             directory,
             gpus=self.GPUS,
-            seed=3,
             benchmarks=self.BENCHES,
-            execution=ExecutionConfig(jobs=jobs, cache_dir=cache_dir),
+            ctx=RunContext.resolve(
+                seed=3, execution=ExecutionConfig(jobs=jobs, cache_dir=cache_dir)
+            ),
         )
 
     def test_parallel_matches_serial_byte_for_byte(self, tmp_path):

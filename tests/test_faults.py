@@ -42,6 +42,7 @@ from repro.faults.plan import FaultPlanError
 from repro.instruments.powermeter import PowerTrace
 from repro.instruments.testbed import Testbed
 from repro.kernels.suites import all_benchmarks, get_benchmark
+from repro.session import RunContext
 
 #: The four Table II benchmarks the paper's profiler failed on.
 PAPER_EXCLUDED = {"mummergpu", "backprop", "pathfinder", "bfs"}
@@ -249,7 +250,7 @@ class TestPaperParity:
             get_gpu("GTX 460"),
             benchmarks=all_benchmarks(),
             pairs=["H-H"],
-            faults=default_plan(),
+            ctx=RunContext.resolve(faults=default_plan()),
         )
         assert ds.n_samples == 114
         assert {e.benchmark for e in ds.exclusions} == PAPER_EXCLUDED
@@ -296,9 +297,11 @@ def _chaos_dataset(jobs: int, cache_dir=None, seed: int = 7):
     return build_dataset(
         get_gpu("GTX 460"),
         benchmarks=benches,
-        seed=seed,
-        faults=aggressive_plan(),
-        execution=ExecutionConfig(jobs=jobs, cache_dir=cache_dir),
+        ctx=RunContext.resolve(
+            seed=seed,
+            faults=aggressive_plan(),
+            execution=ExecutionConfig(jobs=jobs, cache_dir=cache_dir),
+        ),
     )
 
 
@@ -335,8 +338,10 @@ class TestFaultedExecution:
             get_gpu("GTX 460"),
             benchmarks=[get_benchmark("sgemm")],
             pairs=["H-H"],
-            seed=7,
-            faults=FaultPlan(name="doomed", profiler_failure_rate=0.999),
+            ctx=RunContext.resolve(
+                seed=7,
+                faults=FaultPlan(name="doomed", profiler_failure_rate=0.999),
+            ),
         )
         assert ds.n_observations == 0
         assert {e.benchmark for e in ds.exclusions} == {"sgemm"}
@@ -369,9 +374,8 @@ class TestCampaignHealth:
         return Campaign(
             directory,
             gpus=["GTX 460"],
-            seed=7,
             benchmarks=CHAOS_BENCHES,
-            faults=aggressive_plan(),
+            ctx=RunContext.resolve(seed=7, faults=aggressive_plan()),
             **kwargs,
         )
 
@@ -406,9 +410,9 @@ class TestCampaignHealth:
         campaign = Campaign(
             tmp_path / "c",
             gpus=["GTX 460"],
-            seed=7,
             benchmarks=["sgemm", "hotspot"],
-            faults=default_plan(),  # null -> normalized away
+            # null -> normalized away
+            ctx=RunContext.resolve(seed=7, faults=default_plan()),
         )
         campaign.run()
         assert campaign.faults is None

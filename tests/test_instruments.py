@@ -5,13 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.arch.specs import get_gpu
 from repro.engine.counters import counter_set_size
 from repro.engine.simulator import GPUSimulator
 from repro.errors import MeasurementError, ProfilerError
 from repro.instruments.host import HostSystem
-from repro.instruments.powermeter import PowerMeter, PowerPhase
+from repro.instruments.powermeter import PowerMeter
 from repro.instruments.profiler import CudaProfiler
-from repro.instruments.testbed import MIN_MEASURE_WINDOW_S, Testbed
+from repro.instruments.testbed import (
+    MIN_MEASURE_WINDOW_S,
+    Testbed,
+    repeats_for,
+    wall_profile,
+)
 from repro.kernels.suites import get_benchmark
 from repro.rng import stream
 
@@ -37,35 +43,105 @@ class TestHostSystem:
 class TestPowerMeter:
     def test_sample_count_matches_duration(self):
         meter = PowerMeter(adc_noise_cv=0.0)
-        trace = meter.record([PowerPhase(1.0, 100.0)], stream("t"))
+        trace = meter.record([1.0], [100.0], stream("t"))
         assert trace.num_samples == 20  # 1 s / 50 ms
 
     def test_energy_accumulation(self):
         meter = PowerMeter(adc_noise_cv=0.0)
-        trace = meter.record([PowerPhase(2.0, 150.0)], stream("t"))
+        trace = meter.record([2.0], [150.0], stream("t"))
         assert trace.energy_j == pytest.approx(300.0, rel=1e-9)
 
     def test_average_of_two_phases_weighted(self):
         meter = PowerMeter(adc_noise_cv=0.0)
-        phases = [PowerPhase(0.5, 100.0), PowerPhase(1.5, 200.0)]
-        trace = meter.record(phases, stream("t"))
+        trace = meter.record([0.5, 1.5], [100.0, 200.0], stream("t"))
         assert trace.average_power_w == pytest.approx(175.0, rel=0.02)
 
     def test_too_short_profile_raises(self):
         meter = PowerMeter()
         with pytest.raises(MeasurementError):
-            meter.record([PowerPhase(0.01, 100.0)], stream("t"))
+            meter.record([0.01], [100.0], stream("t"))
+
+    def test_empty_profile_raises(self):
+        with pytest.raises(MeasurementError):
+            PowerMeter().record([], [], stream("t"))
 
     def test_adc_noise_is_small_and_deterministic(self):
         meter = PowerMeter()
-        a = meter.record([PowerPhase(1.0, 100.0)], stream("x"))
-        b = meter.record([PowerPhase(1.0, 100.0)], stream("x"))
+        a = meter.record([1.0], [100.0], stream("x"))
+        b = meter.record([1.0], [100.0], stream("x"))
         np.testing.assert_array_equal(a.samples, b.samples)
         assert abs(a.average_power_w - 100.0) < 2.0
 
     def test_rejects_negative_phase(self):
         with pytest.raises(ValueError):
-            PowerPhase(-1.0, 100.0)
+            PowerMeter().record([-1.0, 2.0], [100.0, 100.0], stream("t"))
+
+    def test_rejects_negative_power(self):
+        with pytest.raises(ValueError):
+            PowerMeter().record([1.0, 1.0], [100.0, -1.0], stream("t"))
+
+    def test_rejects_mismatched_columns(self):
+        with pytest.raises(ValueError):
+            PowerMeter().record([1.0, 1.0], [100.0], stream("t"))
+
+    def test_edge_on_sample_midpoint_reads_the_next_phase(self):
+        # Binary-exact times: midpoints 0.125, 0.375, ... and phase edges
+        # at 0.125 and 0.375.  A sample taken exactly on an edge reads
+        # the phase that starts there.
+        meter = PowerMeter(interval_s=0.25, adc_noise_cv=0.0)
+        trace = meter.record([0.125, 0.25, 1.0], [100.0, 200.0, 300.0], stream("t"))
+        np.testing.assert_array_equal(trace.samples, [200.0] + [300.0] * 4)
+
+    def test_zero_duration_phase_is_never_sampled(self):
+        meter = PowerMeter(interval_s=0.25, adc_noise_cv=0.0)
+        durations = [0.5, 0.0, 0.5, 0.0]
+        trace = meter.record(durations, [100.0, 999.0, 200.0, 999.0], stream("t"))
+        np.testing.assert_array_equal(trace.samples, [100.0, 100.0, 200.0, 200.0])
+
+
+def _reference_samples(durations, watts, interval_s):
+    """Plain-loop meter: each midpoint reads the phase whose [start, end)
+    holds it, edges summed left to right; past the end, the last phase."""
+    total = 0.0
+    for d in durations:
+        total += d
+    samples = []
+    for k in range(int(total / interval_s)):
+        t = (k + 0.5) * interval_s
+        edge = 0.0
+        for i, d in enumerate(durations):
+            edge += d
+            if t < edge:
+                break
+        samples.append(watts[i])
+    return samples
+
+
+class TestWallProfile:
+    CELLS = (("GTX 680", "nn", 0.0075), ("GTX 460", "hotspot", 0.05))
+
+    def _record(self, gpu_name, bench, scale):
+        return GPUSimulator(get_gpu(gpu_name)).run(get_benchmark(bench), scale)
+
+    def test_repeats_tile_one_run(self):
+        for cell in self.CELLS:
+            record = self._record(*cell)
+            repeats = repeats_for(record)
+            assert repeats > 1 and record.idle_seconds > 0
+            one_d, one_w = wall_profile(record, HostSystem(), 1.1, 1)
+            d, w = wall_profile(record, HostSystem(), 1.1, repeats)
+            assert one_d[0] == record.idle_seconds
+            assert d.tolist() == one_d.tolist() * repeats
+            assert w.tolist() == one_w.tolist() * repeats
+
+    def test_meter_matches_reference_loop(self):
+        meter = PowerMeter(adc_noise_cv=0.0)
+        for cell in self.CELLS:
+            record = self._record(*cell)
+            d, w = wall_profile(record, HostSystem(), 0.9, repeats_for(record))
+            trace = meter.record(d, w, stream("t"))
+            expected = _reference_samples(d.tolist(), w.tolist(), meter.interval_s)
+            assert trace.samples.tolist() == expected
 
 
 class TestProfiler:

@@ -10,6 +10,7 @@ from repro.engine.simulator import GPUSimulator
 from repro.instruments.profiler import CudaProfiler
 from repro.instruments.testbed import Testbed
 from repro.kernels.suites import get_benchmark
+from repro.session import RunContext
 
 
 class TestBusyPhaseProfile:
@@ -96,6 +97,8 @@ class TestProfilerFidelity:
             gtx480,
             benchmarks=modeling_benchmarks()[:2],
             pairs=["H-H"],
-            profiler=CudaProfiler(noise_scale=0.0, bias_cv=0.0),
+            ctx=RunContext.resolve(
+                profiler=CudaProfiler(noise_scale=0.0, bias_cv=0.0)
+            ),
         )
         assert ds.n_observations > 0

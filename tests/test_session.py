@@ -136,18 +136,18 @@ class TestRunContextResolve:
 
 class TestLegacyShim:
     def test_build_dataset_warns(self, gtx480):
-        with pytest.warns(DeprecationWarning, match="build_dataset"):
+        with pytest.deprecated_call(match="build_dataset"):
             build_dataset(
                 gtx480, [get_benchmark("hotspot")], pairs=["H-H"], seed=5
             )
 
     def test_frequency_sweep_warns(self, gtx480):
-        with pytest.warns(DeprecationWarning, match="FrequencySweep"):
+        with pytest.deprecated_call(match="FrequencySweep"):
             FrequencySweep(gtx480, seed=5)
 
     def test_sweep_run_execution_kwarg_warns(self, gtx480):
         sweep = FrequencySweep(gtx480, RunContext.resolve(seed=5))
-        with pytest.warns(DeprecationWarning, match="execution keyword"):
+        with pytest.deprecated_call(match="execution keyword"):
             sweep.run(
                 [get_benchmark("hotspot")],
                 scale=0.25,
@@ -155,7 +155,7 @@ class TestLegacyShim:
             )
 
     def test_campaign_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="Campaign"):
+        with pytest.deprecated_call(match="Campaign"):
             Campaign(tmp_path, gpus=["GTX 460"], seed=7)
 
     def test_ctx_plus_legacy_kwargs_is_an_error(self, tmp_path):
@@ -181,7 +181,7 @@ class TestLegacyEquivalence:
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_archives_byte_identical(self, tmp_path, jobs):
-        with pytest.warns(DeprecationWarning):
+        with pytest.deprecated_call():
             legacy = Campaign(
                 tmp_path / "legacy",
                 gpus=["GTX 460"],

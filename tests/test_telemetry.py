@@ -24,6 +24,7 @@ import pytest
 from repro.execution.engine import ExecutionConfig, run_units
 from repro.execution.units import sweep_units
 from repro.kernels.suites import get_benchmark
+from repro.session import RunContext
 from repro.telemetry import (
     JsonlSink,
     MemorySink,
@@ -322,10 +323,12 @@ def _campaign_counters(directory, jobs):
     campaign = Campaign(
         directory,
         gpus=["GTX 460"],
-        seed=7,
         benchmarks=["sgemm", "hotspot", "lbm"],
-        execution=ExecutionConfig(jobs=jobs, cache_dir=directory / "cache"),
-        telemetry=telemetry,
+        ctx=RunContext.resolve(
+            seed=7,
+            execution=ExecutionConfig(jobs=jobs, cache_dir=directory / "cache"),
+            telemetry=telemetry,
+        ),
     )
     campaign.run()
     telemetry.close()
@@ -357,9 +360,7 @@ def test_fault_injection_counters(tmp_path, gtx480):
     ds = build_dataset(
         gtx480,
         benchmarks=[get_benchmark(n) for n in ("sgemm", "hotspot", "lbm")],
-        seed=3,
-        faults=aggressive_plan(),
-        telemetry=telemetry,
+        ctx=RunContext.resolve(seed=3, faults=aggressive_plan(), telemetry=telemetry),
     )
     counters = telemetry.metrics.snapshot()["counters"]
     fault_total = sum(
