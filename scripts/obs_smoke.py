@@ -1,21 +1,27 @@
 #!/usr/bin/env python
 """CI smoke test of live observability: protocol, tailing, determinism.
 
-Runs a small chaos campaign through the real CLI with the live event
-bus enabled (``--trace --live --flight-recorder``) while a concurrent
+Runs a small chaos campaign through the real CLI with the event bus
+enabled (``--trace --live --flight-recorder``) while a concurrent
 tailer follows ``events.ndjson``, and asserts that
 
-* every streamed line is a well-formed ``repro.events`` v1 envelope —
-  exactly ``{v, seq, kind, data}``, known kinds, strictly increasing
-  ``seq``, a ``header`` first and a ``summary`` last, zero drops;
+* every line of the trace log and of the live stream is a well-formed
+  ``repro.events`` v1 envelope — exactly ``{v, seq, kind, data}``,
+  known kinds, strictly increasing ``seq``, a ``header`` first and a
+  ``summary`` last, zero drops — and the two files are byte-identical;
 * the tailer's folded progress agrees with the finished run (declared
   unit totals reached, journal-confirmed counts match the journal);
 * the bus is observe-only: ``campaign.json``, the dataset, the
   ``metrics.json`` counter section and the journal's unit records are
-  identical between bus-enabled and bus-disabled runs, at ``--jobs 1``
-  (byte-compared journals) and ``--jobs N`` (record-set-compared);
+  identical between a bus-disabled run (``--metrics-out`` only) and
+  both the full run and a ``--trace``-only run (which carries a bus
+  too), at ``--jobs 1`` (byte-compared journals) and ``--jobs N``
+  (record-set-compared);
 * the Perfetto exporter round-trips the live stream into a valid
-  Chrome trace-event document.
+  Chrome trace-event document;
+* a campaign SIGTERMed mid-run exits 75 and its flight-recorder dump
+  is a v1 stream: the header first, the trailing ``flight`` envelope
+  last.
 
 Exits non-zero with a diagnostic on any violation.
 
@@ -30,6 +36,7 @@ import argparse
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import tempfile
@@ -44,7 +51,7 @@ from repro.telemetry import (  # noqa: E402  (path bootstrap above)
     ProgressEngine,
     TailReader,
     follow_into,
-    read_events,
+    read_stream,
     trace_events_document,
     validate_trace_document,
 )
@@ -55,6 +62,9 @@ SEED = 7
 
 #: Artifacts that must be byte-identical with the bus on or off.
 COMPARED = ("campaign.json", "dataset_gtx_460.json")
+
+#: Event flags of the fully observed run.
+ALL_EVENTS = ("--trace", "--live", "--flight-recorder")
 
 
 def chaos_argv(directory: pathlib.Path, jobs: int, *extra: str) -> list[str]:
@@ -67,9 +77,19 @@ def chaos_argv(directory: pathlib.Path, jobs: int, *extra: str) -> list[str]:
         "--jobs", str(jobs),
         "--cache-dir", str(directory / "cache"),
         "--seed", str(SEED),
-        "--trace",
     ]
     return argv + list(extra)
+
+
+def run_chaos(directory: pathlib.Path, jobs: int, *extra: str) -> None:
+    result = subprocess.run(
+        chaos_argv(directory, jobs, *extra),
+        cwd=REPO, capture_output=True, text=True, check=False,
+        env=chaos_env(),
+    )
+    if result.returncode != 0:
+        sys.stderr.write(result.stderr)
+        sys.exit(f"campaign into {directory} failed ({result.returncode})")
 
 
 def chaos_env() -> dict[str, str]:
@@ -108,33 +128,24 @@ class Tailer(threading.Thread):
         follow_into(self.engine, self.reader)
 
 
-def run_live(
-    directory: pathlib.Path, jobs: int, failures: list[str]
-) -> Tailer:
-    """One chaos campaign with the bus on, tailed while it runs."""
+def run_live(directory: pathlib.Path, jobs: int) -> Tailer:
+    """One chaos campaign with every event file on, tailed while it runs."""
     tailer = Tailer(directory / "events.ndjson")
     tailer.start()
-    result = subprocess.run(
-        chaos_argv(directory, jobs, "--live", "--flight-recorder"),
-        cwd=REPO, capture_output=True, text=True, check=False,
-        env=chaos_env(),
-    )
-    tailer.finish()
-    if result.returncode != 0:
-        sys.stderr.write(result.stderr)
-        sys.exit(f"live campaign into {directory} failed ({result.returncode})")
+    try:
+        run_chaos(directory, jobs, *ALL_EVENTS)
+    finally:
+        tailer.finish()
     return tailer
 
 
 def check_protocol(
-    directory: pathlib.Path, jobs: int, failures: list[str]
+    path: pathlib.Path, label: str, closing: str, failures: list[str]
 ) -> None:
-    """Validate every streamed envelope against the v1 schema."""
-    path = directory / "events.ndjson"
-    label = f"--jobs {jobs}"
+    """Validate every envelope of one event file against the v1 schema."""
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
-        failures.append(f"{label}: empty live stream")
+        failures.append(f"{label}: empty event file")
         return
     last_seq = -1
     for i, line in enumerate(lines):
@@ -163,8 +174,8 @@ def check_protocol(
     if first["kind"] != "header" or first["data"].get("format") != "repro.events":
         failures.append(f"{label}: stream does not open with a header")
     last = json.loads(lines[-1])
-    if last["kind"] != "summary":
-        failures.append(f"{label}: stream does not close with a summary")
+    if last["kind"] != closing:
+        failures.append(f"{label}: stream does not close with a {closing}")
     elif last["data"].get("dropped", 0) != 0:
         failures.append(
             f"{label}: bus dropped {last['data']['dropped']} envelopes"
@@ -207,18 +218,10 @@ def check_determinism(
     live_dir: pathlib.Path,
     plain_dir: pathlib.Path,
     jobs: int,
+    label: str,
     failures: list[str],
 ) -> None:
     """The bus must not change a single artifact byte."""
-    label = f"--jobs {jobs}"
-    result = subprocess.run(
-        chaos_argv(plain_dir, jobs),
-        cwd=REPO, capture_output=True, text=True, check=False,
-        env=chaos_env(),
-    )
-    if result.returncode != 0:
-        sys.stderr.write(result.stderr)
-        sys.exit(f"plain campaign into {plain_dir} failed ({result.returncode})")
     for name in COMPARED:
         left = (live_dir / name).read_bytes()
         right = (plain_dir / name).read_bytes()
@@ -247,14 +250,43 @@ def check_determinism(
 
 
 def check_export(directory: pathlib.Path, failures: list[str]) -> None:
-    document = trace_events_document(
-        read_events(directory / "events.ndjson")
-    )
+    document = trace_events_document(read_stream(directory / "events.ndjson"))
     problems = validate_trace_document(document)
     if problems:
         failures.append(f"perfetto export invalid: {problems[:3]}")
     if document["otherData"]["spans"] == 0:
         failures.append("perfetto export carried no spans")
+
+
+def check_flight_dump(directory: pathlib.Path, failures: list[str]) -> None:
+    """SIGTERM a campaign mid-run; its flight dump must be a v1 stream."""
+    argv = [sys.executable, "-m", "repro", "chaos", str(directory),
+            "--seed", str(SEED), *ALL_EVENTS]
+    proc = subprocess.Popen(
+        argv, cwd=REPO, env=chaos_env(),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    journal = directory / "journal.jsonl"
+    deadline = time.monotonic() + 120
+    while proc.poll() is None and time.monotonic() < deadline:
+        try:
+            if journal.read_text(encoding="utf-8").count('"unit"') >= 6:
+                break
+        except OSError:
+            pass
+        time.sleep(0.02)
+    proc.send_signal(signal.SIGTERM)
+    if proc.wait(timeout=120) != 75:
+        failures.append(f"SIGTERMed campaign exited {proc.returncode}, not 75")
+        return
+    flight = directory / "flight.ndjson"
+    if not flight.exists():
+        failures.append("SIGTERMed campaign left no flight.ndjson")
+        return
+    check_protocol(flight, "flight dump", "flight", failures)
+    reasons = read_stream(flight)[-1]["data"].get("reasons", [])
+    if not any("shutdown" in reason for reason in reasons):
+        failures.append(f"flight dump reasons {reasons} name no shutdown")
 
 
 def main() -> int:
@@ -266,21 +298,40 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-obs-") as scratch:
         root = pathlib.Path(scratch)
         for jobs in (1, args.jobs):
+            label = f"--jobs {jobs}"
             live_dir = root / f"live{jobs}"
-            tailer = run_live(live_dir, jobs, failures)
-            check_protocol(live_dir, jobs, failures)
+            tailer = run_live(live_dir, jobs)
+            for name in ("events.ndjson", "events.jsonl"):
+                check_protocol(
+                    live_dir / name, f"{label} {name}", "summary", failures
+                )
+            trace = (live_dir / "events.jsonl").read_bytes()
+            if trace != (live_dir / "events.ndjson").read_bytes():
+                failures.append(f"{label}: trace log and live stream differ")
             check_progress(live_dir, tailer, jobs, failures)
-            check_determinism(live_dir, root / f"plain{jobs}", jobs, failures)
+            # Bus off: telemetry (for metrics.json) but no event file.
+            plain_dir = root / f"plain{jobs}"
+            run_chaos(
+                plain_dir, jobs, "--metrics-out", str(plain_dir / "metrics.json")
+            )
+            trace_dir = root / f"trace{jobs}"
+            run_chaos(trace_dir, jobs, "--trace")
+            check_determinism(live_dir, plain_dir, jobs, label, failures)
+            check_determinism(
+                trace_dir, plain_dir, jobs, f"{label} --trace", failures
+            )
         check_export(root / "live1", failures)
+        check_flight_dump(root / "interrupted", failures)
 
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print(
-        f"obs smoke OK: protocol valid, tailer agreed with the journal, "
-        f"artifacts byte-identical with the bus on/off at --jobs 1 and "
-        f"--jobs {args.jobs}, perfetto export valid"
+        f"obs smoke OK: protocol valid, trace log == live stream, tailer "
+        f"agreed with the journal, artifacts byte-identical with the bus "
+        f"on/off at --jobs 1 and --jobs {args.jobs}, perfetto export "
+        f"valid, SIGTERM flight dump is a v1 stream"
     )
     return 0
 

@@ -290,7 +290,7 @@ def _setup_bus_publish(seed, workdir):
         # --flight-recorder`` campaign pays on its settle path.
         bus = EventBus()
         bus.attach_writer(workdir / "events.ndjson")
-        bus.attach_flight_recorder(workdir / "flight.json")
+        bus.attach_flight_recorder(workdir / "flight.ndjson")
         bus.phase_start("bench:publish", units=publishes)
         for i in range(publishes):
             bus.publish(

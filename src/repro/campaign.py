@@ -44,7 +44,6 @@ from repro.session.context import (
     EVENTS_NAME,
     METRICS_NAME,
     RunContext,
-    legacy_context,
 )
 from repro.telemetry.runtime import Telemetry
 from repro.telemetry.sinks import metrics_document, write_metrics_json
@@ -117,9 +116,6 @@ class Campaign:
         Contexts resolved from a declarative spec
         (:meth:`RunContext.from_spec`) echo the spec into the campaign
         manifest.
-    seed, execution, faults, telemetry, metrics_path:
-        Deprecated kwarg bundle; pass a ``ctx`` instead.  Kept as a
-        compatibility shim for one release.
     """
 
     def __init__(
@@ -129,12 +125,6 @@ class Campaign:
         benchmarks: Sequence[str] | None = None,
         pairs: Sequence[str] | None = None,
         ctx: RunContext | None = None,
-        *,
-        seed: int | None = None,
-        execution: ExecutionConfig | None = None,
-        faults: FaultPlan | None = None,
-        telemetry: Telemetry | None = None,
-        metrics_path: str | pathlib.Path | None = None,
     ) -> None:
         self.directory = pathlib.Path(directory)
         self.gpu_names = tuple(gpus) if gpus is not None else GPU_NAMES
@@ -151,18 +141,7 @@ class Campaign:
         self._pairs: tuple[str, ...] | None = (
             tuple(pairs) if pairs is not None else None
         )
-        legacy = legacy_context(
-            "Campaign",
-            ctx=ctx,
-            seed=seed,
-            execution=execution,
-            faults=faults,
-            telemetry=telemetry,
-            metrics_path=metrics_path,
-        )
-        if legacy is not None:
-            ctx = legacy
-        elif ctx is None:
+        if ctx is None:
             ctx = RunContext.resolve()
         #: The session context every dataset build and run execute under.
         self.ctx = ctx.rooted(self.directory)

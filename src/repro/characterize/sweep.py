@@ -6,33 +6,29 @@ pair of every GPU with the maximum feasible input size.  A
 a :class:`SweepTable` from which Figs. 1-4 and Table IV are derived.
 
 Sweeps decompose into one work unit per (benchmark, pair) and run on
-the campaign execution engine (``repro.execution``): pass an
-:class:`~repro.execution.ExecutionConfig` to spread the units over
-worker processes and memoize them in the content-addressed result
-cache.  Serial and parallel runs produce identical tables because every
-noise stream is keyed by experimental coordinates, not by call order.
+the campaign execution engine (``repro.execution``): the sweep's
+:class:`~repro.session.RunContext` spreads the units over worker
+processes and memoizes them in the content-addressed result cache.
+Serial and parallel runs produce identical tables because every noise
+stream is keyed by experimental coordinates, not by call order.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.arch.specs import GPUSpec
 from repro.execution.engine import (
-    ExecutionConfig,
     ExecutionStats,
     UnitFailure,
     run_units,
 )
 from repro.execution.units import measurement_from_payload, sweep_units
-from repro.faults.plan import FaultPlan
 from repro.instruments.testbed import Measurement, Testbed
 from repro.kernels.profile import KernelSpec
 from repro.kernels.suites import all_benchmarks
-from repro.session.context import RunContext, legacy_context
-from repro.telemetry.runtime import Telemetry
+from repro.session.context import RunContext
 
 
 @dataclass(frozen=True)
@@ -78,27 +74,10 @@ class FrequencySweep:
         instead of aborting the sweep.  When it carries telemetry, the
         sweep reports into it (a ``sweep`` phase span plus unit/loss
         counters).
-    seed, faults, telemetry:
-        Deprecated kwarg bundle; pass a ``ctx`` instead.  Kept as a
-        compatibility shim for one release.
     """
 
-    def __init__(
-        self,
-        gpu: GPUSpec,
-        ctx: RunContext | None = None,
-        *,
-        seed: int | None = None,
-        faults: FaultPlan | None = None,
-        telemetry: Telemetry | None = None,
-    ) -> None:
-        legacy = legacy_context(
-            "FrequencySweep", ctx=ctx, seed=seed, faults=faults,
-            telemetry=telemetry,
-        )
-        if legacy is not None:
-            ctx = legacy
-        elif ctx is None:
+    def __init__(self, gpu: GPUSpec, ctx: RunContext | None = None) -> None:
+        if ctx is None:
             ctx = RunContext.resolve()
         #: The session context every run of this sweep executes under.
         self.ctx = ctx
@@ -114,53 +93,30 @@ class FrequencySweep:
         """The card being swept."""
         return self.testbed.gpu
 
-    def _run_ctx(
-        self, execution: ExecutionConfig | None, api: str
-    ) -> RunContext:
-        """Fold the deprecated per-run execution override into a context."""
-        if execution is None:
-            return self.ctx
-        warnings.warn(
-            f"{api}: the execution keyword is deprecated; build the sweep "
-            f"with ctx=RunContext.resolve(execution=...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return self.ctx.derive(execution=execution)
-
     def run_benchmark(
-        self,
-        benchmark: KernelSpec,
-        scale: float = 1.0,
-        execution: ExecutionConfig | None = None,
+        self, benchmark: KernelSpec, scale: float = 1.0
     ) -> dict[str, Measurement]:
         """Measure one benchmark at every configurable pair."""
-        ctx = self._run_ctx(execution, "FrequencySweep.run_benchmark")
-        table = self._run([benchmark], scale, ctx)
+        table = self._run([benchmark], scale)
         return dict(table.measurements[benchmark.name])
 
     def run(
         self,
         benchmarks: Sequence[KernelSpec] | None = None,
         scale: float = 1.0,
-        execution: ExecutionConfig | None = None,
     ) -> SweepTable:
         """Measure a set of benchmarks (default: all 37) at every pair.
 
         ``scale=1.0`` is the paper's "maximum feasible input data size".
         The executor, worker count and result cache come from the
-        sweep's :attr:`ctx`; ``execution`` is the deprecated per-run
-        override.
+        sweep's :attr:`ctx`.
         """
-        ctx = self._run_ctx(execution, "FrequencySweep.run")
-        return self._run(benchmarks, scale, ctx)
+        return self._run(benchmarks, scale)
 
     def _run(
-        self,
-        benchmarks: Sequence[KernelSpec] | None,
-        scale: float,
-        ctx: RunContext,
+        self, benchmarks: Sequence[KernelSpec] | None, scale: float
     ) -> SweepTable:
+        ctx = self.ctx
         if benchmarks is None:
             benchmarks = all_benchmarks()
         telemetry = ctx.telemetry

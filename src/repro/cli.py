@@ -90,8 +90,9 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         const="auto",
         default=None,
         metavar="PATH",
-        help="stream a JSONL span/event log (see docs/OBSERVABILITY.md); "
-        "default path: events.jsonl under the output directory",
+        help="stream a repro.events span/event log (see "
+        "docs/OBSERVABILITY.md); default path: events.jsonl under the "
+        "output directory",
     )
     parser.add_argument(
         "--live",
@@ -111,8 +112,8 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         dest="flight_recorder",
         metavar="PATH",
         help="keep a bounded in-memory ring of recent events, dumped to "
-        "flight.json on watchdog timeouts, breaker quarantines, pool "
-        "rebuilds and shutdown signals; default path: flight.json under "
+        "flight.ndjson on watchdog timeouts, breaker quarantines, pool "
+        "rebuilds and shutdown signals; default path: flight.ndjson under "
         "the output directory",
     )
     parser.add_argument(
@@ -511,7 +512,7 @@ def _cmd_trace_summarize(args: argparse.Namespace) -> int:
     import json
     import pathlib
 
-    from repro.telemetry import read_events, render_summary, summarize_events
+    from repro.telemetry import read_stream, render_summary, summarize_events
 
     path = pathlib.Path(args.events)
     if not path.exists():
@@ -524,7 +525,7 @@ def _cmd_trace_summarize(args: argparse.Namespace) -> int:
         if code != 0:
             return code
         # Fall through to the final summary once the stream ends.
-    summary = summarize_events(read_events(path))
+    summary = summarize_events(read_stream(path))
     if args.json:
         print(json.dumps(summary.document(), indent=2, sort_keys=True))
     else:
@@ -936,11 +937,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
     p_summarize = trace_sub.add_parser(
         "summarize",
-        help="per-phase/per-unit breakdown of a JSONL event log",
+        help="per-phase/per-unit breakdown of a repro.events log",
     )
     p_summarize.add_argument(
         "events",
-        help="path to an events.jsonl / events.ndjson / flight.json log",
+        help="path to an events.jsonl / events.ndjson / flight.ndjson log",
     )
     p_summarize.add_argument(
         "--json",
@@ -976,7 +977,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     p_export.add_argument(
         "events",
-        help="path to an events.jsonl / events.ndjson / flight.json log",
+        help="path to an events.jsonl / events.ndjson / flight.ndjson log",
     )
     p_export.add_argument(
         "--out",

@@ -22,14 +22,11 @@ import numpy as np
 from repro.arch.dvfs import OperatingPoint
 from repro.arch.specs import GPUSpec
 from repro.engine.counters import CounterDomain, counter_set
-from repro.execution.engine import ExecutionConfig, ExecutionStats, run_units
+from repro.execution.engine import ExecutionStats, run_units
 from repro.execution.units import dataset_units
-from repro.faults.plan import FaultPlan
-from repro.instruments.profiler import CudaProfiler
 from repro.kernels.profile import KernelSpec
 from repro.kernels.suites import modeling_benchmarks
-from repro.session.context import RunContext, legacy_context
-from repro.telemetry.runtime import Telemetry
+from repro.session.context import RunContext
 
 
 @dataclass(frozen=True)
@@ -174,12 +171,6 @@ def build_dataset(
     pairs: Sequence[str] | None = None,
     ctx: RunContext | None = None,
     stats: ExecutionStats | None = None,
-    *,
-    seed: int | None = None,
-    profiler: CudaProfiler | None = None,
-    execution: ExecutionConfig | None = None,
-    faults: FaultPlan | None = None,
-    telemetry: Telemetry | None = None,
 ) -> ModelingDataset:
     """Measure and profile the full modeling dataset for one GPU.
 
@@ -213,22 +204,8 @@ def build_dataset(
     stats:
         Optional accumulator the build's execution statistics (units,
         cache hits, retries, wall time) are merged into.
-    seed, profiler, execution, faults, telemetry:
-        Deprecated kwarg bundle; pass a ``ctx`` instead.  Kept as a
-        compatibility shim for one release.
     """
-    legacy = legacy_context(
-        "build_dataset",
-        ctx=ctx,
-        seed=seed,
-        profiler=profiler,
-        execution=execution,
-        faults=faults,
-        telemetry=telemetry,
-    )
-    if legacy is not None:
-        ctx = legacy
-    elif ctx is None:
+    if ctx is None:
         ctx = RunContext.resolve()
 
     if benchmarks is None:

@@ -1,9 +1,9 @@
 """Parallel campaign execution engine.
 
-Decomposes campaigns into independent work units, runs them through a
-pluggable executor (in-process or process pool) with bounded retry, and
-memoizes results in a content-addressed on-disk cache so interrupted or
-repeated campaigns resume at work-unit granularity.  A write-ahead run
+Decomposes campaigns into independent work units, runs them in-process
+or on a persistent worker pool with bounded retry, and memoizes results
+in a content-addressed on-disk cache so interrupted or repeated
+campaigns resume at work-unit granularity.  A write-ahead run
 journal, per-unit timeout watchdog, circuit breakers and graceful
 shutdown make long campaigns durable (see ``docs/ROBUSTNESS.md``).
 """
@@ -14,11 +14,8 @@ from repro.execution.engine import (
     ExecutionError,
     ExecutionResult,
     ExecutionStats,
-    ProcessExecutor,
     ProgressEvent,
-    SerialExecutor,
     UnitFailure,
-    make_executor,
     run_units,
 )
 from repro.execution.journal import RunJournal
@@ -48,11 +45,9 @@ __all__ = [
     "ExecutionResult",
     "ExecutionStats",
     "GracefulShutdown",
-    "ProcessExecutor",
     "ProgressEvent",
     "ResultCache",
     "RunJournal",
-    "SerialExecutor",
     "SweepUnit",
     "UnitFailure",
     "WorkUnit",
@@ -60,7 +55,6 @@ __all__ = [
     "call_with_timeout",
     "clear_shutdown",
     "dataset_units",
-    "make_executor",
     "measurement_from_payload",
     "measurement_to_payload",
     "request_shutdown",

@@ -1,13 +1,13 @@
-"""Parallel campaign execution: executors, retry, cache and progress.
+"""Parallel campaign execution: retry, cache and progress.
 
 :func:`run_units` is the single entry point: it takes a list of work
 units, consults the content-addressed result cache, runs the misses
-through a pluggable executor — in-process :class:`SerialExecutor` or a
-:class:`ProcessExecutor` built on ``concurrent.futures`` — with bounded
-exponential-backoff retry, and returns payloads in *unit order*
-regardless of completion order.  Because every noise stream in the
-simulation is keyed by experimental coordinates (``repro.rng``), serial
-and parallel runs of the same units produce byte-identical results.
+in-process or on the persistent worker pool
+(:mod:`repro.execution.pool`) with bounded exponential-backoff retry,
+and returns payloads in *unit order* regardless of completion order.
+Because every noise stream in the simulation is keyed by experimental
+coordinates (``repro.rng``), serial and parallel runs of the same units
+produce byte-identical results.
 
 Durability (PR 7): when the config carries a
 :class:`~repro.execution.journal.RunJournal`, every unit outcome is
@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable
 
 from repro.errors import (
     CampaignInterrupted,
@@ -435,54 +434,6 @@ def _execute_fast(unit: WorkUnit, retries: int, backoff_s: float) -> _UnitOutcom
         attempts=1,
         duration_s=time.perf_counter() - start,
     )
-
-
-class SerialExecutor:
-    """In-process executor: units complete in submission order."""
-
-    jobs = 1
-
-    def run(
-        self,
-        pending: Sequence[tuple[int, WorkUnit]],
-        retries: int,
-        backoff_s: float,
-    ) -> Iterator[tuple[int, _UnitOutcome]]:
-        for index, unit in pending:
-            yield index, _execute_with_retry(unit, retries, backoff_s)
-
-
-class ProcessExecutor:
-    """``ProcessPoolExecutor``-backed executor for CPU-bound campaigns.
-
-    Units complete in arbitrary order; :func:`run_units` restores unit
-    order when assembling results.
-    """
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-
-    def run(
-        self,
-        pending: Sequence[tuple[int, WorkUnit]],
-        retries: int,
-        backoff_s: float,
-    ) -> Iterator[tuple[int, _UnitOutcome]]:
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            futures = {
-                pool.submit(_execute_with_retry, unit, retries, backoff_s):
-                    index
-                for index, unit in pending
-            }
-            for future in as_completed(futures):
-                yield futures[future], future.result()
-
-
-def make_executor(jobs: int):
-    """Pick the executor for a worker count (1 means in-process)."""
-    return SerialExecutor() if jobs <= 1 else ProcessExecutor(jobs)
 
 
 def _journal_outcome(journal: Any, key: str, outcome: _UnitOutcome) -> None:

@@ -18,7 +18,6 @@ from repro.session.context import (
     EVENTS_NAME,
     METRICS_NAME,
     RunContext,
-    legacy_context,
     merge_execution,
     normalize_faults,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "SPEC_FORMAT",
     "SPEC_VERSION",
     "SpecError",
-    "legacy_context",
     "load_spec",
     "merge_execution",
     "normalize_faults",

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -54,8 +53,9 @@ EVENTS_NAME = "events.jsonl"
 METRICS_NAME = "metrics.json"
 
 #: Live-observability artifacts (``--live`` / ``--flight-recorder``).
+#: All three event files are ``repro.events`` v1 NDJSON streams.
 LIVE_NAME = "events.ndjson"
-FLIGHT_NAME = "flight.json"
+FLIGHT_NAME = "flight.ndjson"
 
 
 def normalize_faults(faults: FaultPlan | None) -> FaultPlan | None:
@@ -128,7 +128,7 @@ class RunContext:
     artifact_dir: pathlib.Path | None = None
     #: Where the aggregated ``metrics.json`` artifact goes.
     metrics_path: pathlib.Path | None = None
-    #: Where the JSONL event log streams, when tracing.
+    #: Where the ``repro.events`` trace log streams, when tracing.
     trace_path: pathlib.Path | None = None
     #: Where the live ``repro.events`` NDJSON stream goes, when live
     #: observability is on.
@@ -220,7 +220,8 @@ class RunContext:
 
         ``base_dir`` roots the spec's defaulted locations (result
         cache, event log, metrics artifact) — pass the campaign
-        directory.  A tracing spec opens a JSONL sink; the caller owns
+        directory.  A spec with ``trace``, ``live`` or
+        ``flight_recorder`` set opens an event bus; the caller owns
         :meth:`close`.
         """
         if not isinstance(spec, CampaignSpec):
@@ -259,26 +260,24 @@ class RunContext:
         live_path = _setting_path(spec.live, LIVE_NAME)
         flight_path = _setting_path(spec.flight_recorder, FLIGHT_NAME)
 
-        # Live observability rides the same telemetry object: the bus
-        # joins the tracer's sinks and the engine publishes progress /
-        # incident envelopes through ``telemetry.bus``.  Observe-only —
-        # enabling it must not change any deterministic artifact.
+        # Every event file is a writer on one bus: the bus joins the
+        # tracer's sinks and the engine publishes progress / incident
+        # envelopes through ``telemetry.bus``, so the trace log and the
+        # live stream are the same bytes.  Observe-only — enabling it
+        # must not change any deterministic artifact.
         bus = None
-        if live_path is not None or flight_path is not None:
+        if trace_path or live_path or flight_path:
             from repro.telemetry.bus import EventBus
 
             bus = EventBus()
-            if live_path is not None:
-                bus.attach_writer(live_path)
+            for path in (trace_path, live_path):
+                if path is not None:
+                    bus.attach_writer(path)
             if flight_path is not None:
                 bus.attach_flight_recorder(flight_path)
 
         telemetry: Telemetry | None = None
-        if trace_path is not None:
-            from repro.telemetry.sinks import JsonlSink
-
-            telemetry = Telemetry(sinks=[JsonlSink(trace_path)], bus=bus)
-        elif metrics_path is not None or bus is not None:
+        if metrics_path is not None or bus is not None:
             telemetry = Telemetry(bus=bus)
 
         return cls.resolve(
@@ -422,39 +421,3 @@ class RunContext:
         if self.artifact_dir is not None:
             parts.append(f"artifact_dir={str(self.artifact_dir)!r}")
         return f"RunContext({', '.join(parts)})"
-
-
-# ----------------------------------------------------------------------
-# deprecated-kwarg compatibility shim
-# ----------------------------------------------------------------------
-
-def legacy_context(
-    api: str,
-    ctx: RunContext | None = None,
-    **legacy: Any,
-) -> RunContext | None:
-    """Resolve a deprecated kwarg bundle into a context, warning once.
-
-    The public shim keeping pre-session signatures alive for one
-    release: entry points pass their old kwargs here; if any is set, a
-    :class:`DeprecationWarning` is issued (attributed to the caller's
-    caller, so the test suite can escalate it to an error for
-    ``repro.*`` internal modules) and an equivalent context is
-    resolved.  Returns ``None`` when no legacy kwarg was used.
-    """
-    used = {name: value for name, value in legacy.items() if value is not None}
-    if not used:
-        return None
-    if ctx is not None:
-        raise TypeError(
-            f"{api}: pass either ctx or the deprecated "
-            f"{'/'.join(sorted(used))} kwargs, not both"
-        )
-    warnings.warn(
-        f"{api}: passing {'/'.join(sorted(used))} as separate keyword "
-        f"arguments is deprecated; pass a single RunContext instead "
-        f"(ctx=RunContext.resolve(...), see docs/ARCHITECTURE.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return RunContext.resolve(**legacy)

@@ -9,10 +9,9 @@ experiment artifact — a campaign should be reproducible from its spec
 alone — so the resolved spec is echoed into the campaign manifest and
 an archive fully describes how to regenerate itself.
 
-Specs load from TOML (preferred; ``tomllib`` on Python >= 3.11, with a
-dependency-free fallback parser for the flat subset the schema needs on
-3.10) or JSON, normalize eagerly (fault plans resolved, null plans
-collapsed, sequences frozen) and re-emit canonically through
+Specs load from TOML (preferred; parsed by the standard ``tomllib``) or
+JSON, normalize eagerly (fault plans resolved, null plans collapsed,
+sequences frozen) and re-emit canonically through
 :meth:`CampaignSpec.document`, so load -> resolve -> re-emit is a fixed
 point whatever the source syntax was.
 
@@ -26,9 +25,9 @@ Schema (version 1, all keys optional)::
     seed = 7                         # noise-seed override
     jobs = 4                         # worker processes
     cache = true                     # true | false | explicit directory
-    trace = true                     # true | false | explicit JSONL path
+    trace = true                     # repro.events trace log (or a path)
     live = true                      # stream repro.events NDJSON (or a path)
-    flight_recorder = true           # crash ring -> flight.json (or a path)
+    flight_recorder = true           # crash ring -> flight.ndjson (or a path)
     unit_timeout_s = 30.0            # per-unit watchdog budget (seconds)
     breaker_threshold = 3            # circuit-breaker quarantine threshold
     faults = "aggressive"            # preset/plan-file name, or a table:
@@ -49,16 +48,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+import tomllib
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan, resolve_plan
-
-try:  # Python >= 3.11
-    import tomllib
-except ImportError:  # pragma: no cover - exercised on 3.10 only
-    tomllib = None
 
 SPEC_FORMAT = "repro.campaign-spec"
 SPEC_VERSION = 1
@@ -68,118 +63,11 @@ class SpecError(ReproError, ValueError):
     """A campaign-spec document or file is malformed."""
 
 
-# ----------------------------------------------------------------------
-# minimal TOML support (3.10 fallback)
-# ----------------------------------------------------------------------
-
-def _split_unquoted(text: str, separator: str) -> list[str]:
-    """Split on a separator that is not inside a basic string."""
-    parts: list[str] = []
-    current: list[str] = []
-    in_string = False
-    escaped = False
-    for char in text:
-        if in_string:
-            current.append(char)
-            if escaped:
-                escaped = False
-            elif char == "\\":
-                escaped = True
-            elif char == '"':
-                in_string = False
-            continue
-        if char == '"':
-            in_string = True
-            current.append(char)
-        elif char == separator:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    parts.append("".join(current))
-    return parts
-
-
-def _strip_comment(line: str) -> str:
-    return _split_unquoted(line, "#")[0].strip()
-
-
-def _parse_scalar(text: str):
-    text = text.strip()
-    if text.startswith('"'):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"bad string literal {text!r}: {exc}") from exc
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text.startswith("[") and text.endswith("]"):
-        body = text[1:-1].strip()
-        if not body:
-            return []
-        return [
-            _parse_scalar(item)
-            for item in _split_unquoted(body, ",")
-            if item.strip()
-        ]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise SpecError(f"unsupported TOML value {text!r}") from None
-
-
-def _mini_toml(text: str) -> dict[str, Any]:
-    """Parse the flat TOML subset the spec schema uses.
-
-    Supports comments, one level of ``[table]`` nesting, basic strings,
-    integers, floats, booleans and (possibly multi-line) arrays — enough
-    for every campaign spec, on interpreters without ``tomllib``.
-    """
-    document: dict[str, Any] = {}
-    current = document
-    pending = ""
-    for raw_line in text.splitlines():
-        line = _strip_comment(raw_line)
-        if not line:
-            continue
-        pending = f"{pending} {line}".strip() if pending else line
-        if pending.count("[") > pending.count("]"):
-            continue  # unterminated array: keep accumulating lines
-        line, pending = pending, ""
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if not name or "." in name:
-                raise SpecError(f"unsupported TOML table {line!r}")
-            current = document.setdefault(name, {})
-            if not isinstance(current, dict):
-                raise SpecError(f"duplicate key {name!r}")
-            continue
-        parts = _split_unquoted(line, "=")
-        if len(parts) < 2:
-            raise SpecError(f"bad TOML line {line!r}")
-        key = parts[0].strip()
-        value = "=".join(parts[1:]).strip()
-        if not key or not value:
-            raise SpecError(f"bad TOML line {line!r}")
-        current[key] = _parse_scalar(value)
-    if pending:
-        raise SpecError(f"unterminated TOML value {pending!r}")
-    return document
-
-
 def _load_toml(text: str) -> dict[str, Any]:
-    if tomllib is not None:
-        try:
-            return tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise SpecError(f"spec is not valid TOML: {exc}") from exc
-    return _mini_toml(text)
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise SpecError(f"spec is not valid TOML: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -498,15 +386,16 @@ class CampaignSpec:
     cache: bool | str = True
     #: Deterministic fault plan (already resolved; never a null plan).
     faults: FaultPlan | None = None
-    #: ``True`` streams the JSONL event log to the default path under
-    #: the campaign directory, a string is an explicit path.
+    #: ``True`` streams the ``repro.events`` trace log to
+    #: ``events.jsonl`` under the campaign directory, a string is an
+    #: explicit path.
     trace: bool | str = False
     #: ``True`` streams the live ``repro.events`` NDJSON envelope feed
     #: to ``events.ndjson`` under the campaign directory, a string is an
     #: explicit path.  Observe-only mechanics: tailable progress, never
     #: a result change.
     live: bool | str = False
-    #: ``True`` keeps a crash ring dumped to ``flight.json`` under the
+    #: ``True`` keeps a crash ring dumped to ``flight.ndjson`` under the
     #: campaign directory on watchdog/breaker/pool/SIGTERM incidents, a
     #: string is an explicit path.  Observe-only mechanics.
     flight_recorder: bool | str = False

@@ -11,21 +11,22 @@ campaign itself:
 * a :class:`Metrics` registry holds named counters (cache hits,
   retries, injected faults, exclusions — deterministic at any
   ``--jobs`` value), gauges and wall-time histograms;
-* pluggable sinks write the JSONL event log and the aggregated
-  ``metrics.json`` campaign artifact, with wall-clock values isolated
-  in clearly-marked timing fields so the deterministic counter section
-  composes with the byte-identical-manifest guarantees of the
-  execution engine.
+* the aggregated ``metrics.json`` campaign artifact isolates
+  wall-clock values in clearly-marked timing fields so the
+  deterministic counter section composes with the
+  byte-identical-manifest guarantees of the execution engine.
 
-Live observability rides on the same sink interface: an
-:class:`EventBus` multiplexes spans, metrics, journal records, breaker
-transitions and governor decisions into the versioned ``repro.events``
-NDJSON protocol (tailable while the run executes), a
-:class:`ProgressEngine` folds that stream into per-phase progress with
-bench-seeded ETAs, a :class:`FlightRecorder` keeps a crash ring dumped
-to ``flight.json`` on watchdog/breaker/pool/SIGTERM incidents, and
-``repro trace export`` converts any event source into a
-Perfetto-loadable Chrome trace.
+Every event file rides on one sink: an :class:`EventBus` multiplexes
+spans, metrics, journal records, breaker transitions and governor
+decisions into the versioned ``repro.events`` NDJSON protocol — the
+trace log, the live stream (tailable while the run executes) and the
+crash ring a :class:`FlightRecorder` dumps on
+watchdog/breaker/pool/SIGTERM incidents are all this one format.  One
+reader (:class:`TailReader`, :func:`read_stream`) serves every
+consumer: a :class:`ProgressEngine` folds the stream into per-phase
+progress with bench-seeded ETAs, the summarizer tabulates its spans,
+and ``repro trace export`` converts it into a Perfetto-loadable Chrome
+trace.
 
 See docs/OBSERVABILITY.md for the span model, the metric-name
 catalogue, the event schema and the live-stream protocol.
@@ -36,10 +37,11 @@ from repro.telemetry.bus import (
     EVENTS_FORMAT,
     EVENTS_VERSION,
     EventBus,
-    FLIGHT_FORMAT,
     FlightRecorder,
     LiveEventWriter,
     Subscription,
+    TailReader,
+    read_stream,
 )
 from repro.telemetry.export import (
     export_trace,
@@ -60,7 +62,6 @@ from repro.telemetry.runtime import (
     using_telemetry,
 )
 from repro.telemetry.sinks import (
-    JsonlSink,
     MemorySink,
     METRICS_FORMAT,
     Sink,
@@ -71,11 +72,9 @@ from repro.telemetry.progress import (
     EtaEstimator,
     PhaseProgress,
     ProgressEngine,
-    TailReader,
     bench_unit_seconds,
     discover_bench_prior,
     follow_into,
-    iter_events,
     render_progress,
 )
 from repro.telemetry.spans import Span, Tracer
@@ -88,7 +87,6 @@ from repro.telemetry.timing import (
 from repro.telemetry.summarize import (
     SpanAggregate,
     TraceSummary,
-    read_events,
     render_summary,
     summarize_events,
     summarize_file,
@@ -101,11 +99,9 @@ __all__ = [
     "EVENTS_VERSION",
     "EtaEstimator",
     "EventBus",
-    "FLIGHT_FORMAT",
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "JsonlSink",
     "LiveEventWriter",
     "METRICS_FORMAT",
     "MemorySink",
@@ -130,9 +126,8 @@ __all__ = [
     "discover_bench_prior",
     "export_trace",
     "follow_into",
-    "iter_events",
     "metrics_document",
-    "read_events",
+    "read_stream",
     "render_progress",
     "render_summary",
     "streaming_document",

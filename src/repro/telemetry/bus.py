@@ -8,14 +8,21 @@ journal records, breaker transitions, governor decisions and progress
 ticks the engine publishes directly — into versioned envelopes, and
 fans them out to bounded subscribers:
 
-* :class:`LiveEventWriter` streams envelopes to ``events.ndjson``,
-  line-flushed, so ``repro top`` and ``repro trace summarize --follow``
-  can tail the file while the campaign runs;
+* :class:`LiveEventWriter` streams envelopes to an NDJSON file — the
+  trace log ``events.jsonl`` and the live stream ``events.ndjson`` are
+  both this writer — line-flushed, so ``repro top`` and ``repro trace
+  summarize --follow`` can tail the file while the campaign runs;
 * :class:`FlightRecorder` keeps a fixed-size ring of the most recent
-  envelopes and dumps it to ``flight.json`` when something goes wrong
+  envelopes and dumps it to ``flight.ndjson`` when something goes wrong
   (watchdog timeout, breaker quarantine, pool rebuild, SIGTERM).
 
-Protocol (``repro.events`` version 1) — one JSON envelope per line::
+Every file the program writes under ``trace``, ``live`` or
+``flight_recorder`` is one such stream, and :class:`TailReader` (or its
+one-shot form :func:`read_stream`) is the single reader every consumer
+— ``trace summarize``, ``top``, ``--follow``, ``trace export`` — uses.
+
+Protocol (``repro.events`` version 1) — one JSON envelope per line, the
+``header`` envelope first::
 
     {"v": 1, "seq": 17, "kind": "progress", "data": {...}}
 
@@ -46,9 +53,6 @@ from repro.telemetry.sinks import Sink
 EVENTS_FORMAT = "repro.events"
 EVENTS_VERSION = 1
 
-FLIGHT_FORMAT = "repro.flight"
-FLIGHT_VERSION = 1
-
 #: Envelope kinds of protocol version 1, in rough pipeline order.
 EVENT_KINDS = (
     "header",  # stream preamble: format/version/producer
@@ -61,7 +65,7 @@ EVENT_KINDS = (
     "breaker",  # a circuit-breaker transition
     "governor",  # an online-governor re-plan decision
     "pool",  # a persistent-pool rebuild
-    "flight",  # the flight recorder dumped flight.json
+    "flight",  # the flight recorder dumped its ring
     "drop",  # a subscriber lost envelopes (overflow accounting)
     "summary",  # bus accounting at close (ends a stream)
 )
@@ -119,8 +123,20 @@ class Subscription:
             close()
 
 
+def _header_data() -> dict[str, Any]:
+    return {
+        "format": EVENTS_FORMAT,
+        "version": EVENTS_VERSION,
+        "producer": f"repro {__version__}",
+    }
+
+
+def _line(envelope: dict[str, Any]) -> str:
+    return json.dumps(envelope, sort_keys=True) + "\n"
+
+
 class LiveEventWriter:
-    """Line-flushed NDJSON envelope writer (the ``events.ndjson`` file).
+    """Line-flushed NDJSON envelope writer (``events.jsonl``/``.ndjson``).
 
     Opened lazily and line-buffered; every envelope is flushed as one
     complete line so a concurrent tailer sees at worst a torn final
@@ -137,7 +153,7 @@ class LiveEventWriter:
             self._handle = open(
                 self.path, "w", encoding="utf-8", buffering=1
             )
-        self._handle.write(json.dumps(envelope, sort_keys=True) + "\n")
+        self._handle.write(_line(envelope))
         self._handle.flush()
 
     def close(self) -> None:
@@ -146,14 +162,70 @@ class LiveEventWriter:
             self._handle = None
 
 
+class TailReader:
+    """Incremental ``repro.events`` reader tolerant of a torn final line.
+
+    Each :meth:`poll` reads whatever the producer appended since the
+    last call and yields only *complete* lines; a partial final line
+    (the writer mid-``write``, or a SIGKILL mid-flush) stays buffered
+    until its newline shows up — or forever, which is exactly the
+    durability contract: torn tails are ignored, never misparsed.
+    Complete lines that are not v1 envelopes are skipped and counted in
+    :attr:`malformed`.
+    """
+
+    def __init__(self, path: str | pathlib.Path) -> None:
+        self.path = pathlib.Path(path)
+        self._offset = 0
+        self._buffer = b""
+        #: Complete lines that were not v1 envelopes (should stay 0).
+        self.malformed = 0
+
+    def poll(self) -> list[dict[str, Any]]:
+        """Parse and return the complete new envelopes since the last poll."""
+        try:
+            with open(self.path, "rb") as handle:
+                handle.seek(self._offset)
+                chunk = handle.read()
+        except OSError:
+            return []
+        self._offset += len(chunk)
+        *lines, self._buffer = (self._buffer + chunk).split(b"\n")
+        envelopes: list[dict[str, Any]] = []
+        for line in lines:
+            if not line.strip():
+                continue
+            try:
+                envelope = json.loads(line)
+            except ValueError:
+                envelope = None
+            if (
+                isinstance(envelope, dict)
+                and envelope.get("v") == EVENTS_VERSION
+                and isinstance(envelope.get("kind"), str)
+                and isinstance(envelope.get("data"), dict)
+            ):
+                envelopes.append(envelope)
+            else:
+                self.malformed += 1
+        return envelopes
+
+
+def read_stream(path: str | pathlib.Path) -> list[dict[str, Any]]:
+    """Every complete envelope of a ``repro.events`` file, in one shot."""
+    return TailReader(path).poll()
+
+
 class FlightRecorder:
     """Fixed-size ring of the most recent envelopes, dumped on trouble.
 
     The ring costs one deque append per envelope while everything is
-    healthy; :meth:`dump` serializes it to ``flight.json`` atomically
+    healthy; :meth:`dump` writes it to ``flight.ndjson`` atomically
     when the engine (or a SIGTERM handler) declares an incident, so a
     crash post-mortem starts from the last ``capacity`` events instead
-    of a multi-gigabyte log — or from nothing at all.
+    of a multi-gigabyte log — or from nothing at all.  The dump is a
+    ``repro.events`` v1 stream like any other: the header envelope, the
+    ring, then one ``flight`` envelope describing the dump.
     """
 
     def __init__(
@@ -172,37 +244,47 @@ class FlightRecorder:
         self.reasons: list[str] = []
 
     def __call__(self, envelope: dict[str, Any]) -> None:
+        if envelope.get("kind") == "header":
+            return  # every dump writes its own header line
         if len(self.ring) == self.capacity:
             self.evicted += 1
         self.ring.append(envelope)
 
-    def document(self, reason: str) -> dict[str, Any]:
-        """The canonical ``flight.json`` document for one dump."""
-        return {
-            "format": FLIGHT_FORMAT,
-            "version": FLIGHT_VERSION,
-            "producer": f"repro {__version__}",
-            "reason": reason,
-            "reasons": list(self.reasons) + [reason],
-            "capacity": self.capacity,
-            "evicted": self.evicted,
-            "events": list(self.ring),
-        }
-
     def dump(self, reason: str) -> pathlib.Path:
-        """Write the ring to ``flight.json`` atomically; returns the path.
+        """Write the ring to ``flight.ndjson`` atomically; returns the path.
 
         Repeated dumps overwrite the file — the latest incident wins —
-        but every reason so far is accumulated in the document, so a
-        run that timed out *and* was SIGTERMed shows both.
+        but every reason so far is accumulated in the trailing
+        ``flight`` envelope, so a run that timed out *and* was
+        SIGTERMed shows both.  The trailer is built here, not by the
+        bus: it takes the seq after the ring's last envelope, and a dump
+        allocates no bus seq and leaves :attr:`EventBus.published` as
+        it was.
         """
         # Local import: telemetry must stay importable before the
         # execution package finishes initializing.
         from repro.execution.cache import atomic_write_text
 
-        document = self.document(reason)
         self.reasons.append(reason)
-        text = json.dumps(document, indent=2, sort_keys=True)
+        header = {
+            "v": EVENTS_VERSION,
+            "seq": 0,
+            "kind": "header",
+            "data": _header_data(),
+        }
+        last_seq = self.ring[-1].get("seq", 0) if self.ring else 0
+        trailer = {
+            "v": EVENTS_VERSION,
+            "seq": last_seq + 1,
+            "kind": "flight",
+            "data": {
+                "reason": reason,
+                "reasons": list(self.reasons),
+                "capacity": self.capacity,
+                "evicted": self.evicted,
+            },
+        }
+        text = "".join(_line(e) for e in (header, *self.ring, trailer))
         return atomic_write_text(self.path, text)
 
 
@@ -235,14 +317,7 @@ class EventBus(Sink):
         #: Label of the currently announced phase, stamped onto
         #: progress envelopes.
         self.phase: str | None = None
-        self._header = self._envelope(
-            "header",
-            {
-                "format": EVENTS_FORMAT,
-                "version": EVENTS_VERSION,
-                "producer": f"repro {__version__}",
-            },
-        )
+        self._header = self._envelope("header", _header_data())
 
     # ------------------------------------------------------------------
     # subscribing
@@ -264,7 +339,7 @@ class EventBus(Sink):
         return subscription
 
     def attach_writer(self, path: str | pathlib.Path) -> Subscription:
-        """Stream envelopes to an NDJSON file (``events.ndjson``)."""
+        """Stream envelopes to an NDJSON event file (trace log or live)."""
         writer = LiveEventWriter(path)
         return self.subscribe(f"writer:{pathlib.Path(path).name}", writer)
 
@@ -273,7 +348,7 @@ class EventBus(Sink):
         path: str | pathlib.Path,
         capacity: int = DEFAULT_FLIGHT_CAPACITY,
     ) -> FlightRecorder:
-        """Keep a crash ring and dump it to ``flight.json`` on SIGTERM.
+        """Keep a crash ring and dump it to ``flight.ndjson`` on SIGTERM.
 
         The recorder subscribes like any consumer (its ring never
         overflows a queue — appends cannot fail) and additionally

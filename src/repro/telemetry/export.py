@@ -1,9 +1,9 @@
 """Export a span tree to the Chrome trace-event format (Perfetto).
 
-``repro trace export`` converts any event source ``read_events``
-understands — a raw ``events.jsonl`` trace, a live ``events.ndjson``
-envelope stream, or a ``flight.json`` crash dump — into a
-``trace.json`` loadable in ``ui.perfetto.dev`` or ``chrome://tracing``.
+``repro trace export`` converts any ``repro.events`` stream — the
+``events.jsonl`` trace log, the live ``events.ndjson`` stream or a
+``flight.ndjson`` crash dump — into a ``trace.json`` loadable in
+``ui.perfetto.dev`` or ``chrome://tracing``.
 
 Clock domains: spans recorded in the campaign process share one
 monotonic clock, but spans grafted from pool workers (PR 3's
@@ -27,7 +27,7 @@ import json
 import pathlib
 from typing import Any
 
-from repro.telemetry.summarize import read_events
+from repro.telemetry.bus import read_stream
 
 EXPORT_FORMAT = "repro.trace-export"
 EXPORT_VERSION = 1
@@ -55,15 +55,15 @@ def _args(span: dict[str, Any]) -> dict[str, Any]:
     return args
 
 
-def trace_events_document(events: list[dict[str, Any]]) -> dict[str, Any]:
-    """Build the Chrome trace-event JSON document for one event list.
+def trace_events_document(envelopes: list[dict[str, Any]]) -> dict[str, Any]:
+    """Build the Chrome trace-event JSON document for one envelope list.
 
-    Every span event round-trips into exactly one ``ph: "X"`` complete
-    event; point events become ``ph: "i"`` instants anchored at their
-    parent span's start when it is known.
+    Every ``span`` envelope round-trips into exactly one ``ph: "X"``
+    complete event; ``event`` envelopes become ``ph: "i"`` instants
+    anchored at their parent span's start when it is known.
     """
-    spans = [e for e in events if e.get("type") == "span"]
-    points = [e for e in events if e.get("type") == "event"]
+    spans = [e["data"] for e in envelopes if e.get("kind") == "span"]
+    points = [e["data"] for e in envelopes if e.get("kind") == "event"]
 
     worker = [s for s in spans if (s.get("attrs") or {}).get("worker_clock")]
     parent = [s for s in spans if not (s.get("attrs") or {}).get("worker_clock")]
@@ -248,7 +248,7 @@ def export_trace(
     events_path: str | pathlib.Path,
     out_path: str | pathlib.Path | None = None,
 ) -> pathlib.Path:
-    """Convert an event log to ``trace.json``; returns the output path.
+    """Convert an event stream to ``trace.json``; returns the output path.
 
     Raises ``ValueError`` when the generated document fails schema
     validation — that would be an exporter bug, not a user error, and
@@ -258,7 +258,7 @@ def export_trace(
     if out_path is None:
         out_path = events_path.with_name("trace.json")
     out_path = pathlib.Path(out_path)
-    document = trace_events_document(read_events(events_path))
+    document = trace_events_document(read_stream(events_path))
     problems = validate_trace_document(document)
     if problems:
         raise ValueError(

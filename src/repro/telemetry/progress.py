@@ -1,10 +1,10 @@
 """Progress engine: fold a ``repro.events`` stream into live state.
 
-:class:`ProgressEngine` consumes envelopes (or raw trace events from a
-plain ``events.jsonl``) and maintains per-phase completed / total /
-failed / quarantined counts, journal-confirmed unit counts, sequence-gap
-accounting and the last notable event — everything ``repro top`` and
-``repro trace summarize --follow`` render while a campaign runs.
+:class:`ProgressEngine` consumes envelopes and maintains per-phase
+completed / total / failed / quarantined counts, journal-confirmed unit
+counts, sequence-gap accounting and the last notable event —
+everything ``repro top`` and ``repro trace summarize --follow`` render
+while a campaign runs.
 
 Wall-clock discipline: the event stream itself carries **no wall-clock
 timestamps** (spans carry per-process monotonic offsets only), so the
@@ -15,17 +15,18 @@ prior seeded from the committed ``BENCH_pipeline.json`` baseline
 the ETA leans on the prior; as real throughput accumulates the
 observation dominates.  Either half alone still yields an estimate.
 
-:class:`TailReader` is the torn-tail-safe NDJSON follower both CLI
-views share: it re-polls a growing file, parses only complete lines and
-buffers a partial final line until its newline arrives.
+Both CLI views feed it through :func:`follow_into` from the single
+stream reader, :class:`~repro.telemetry.bus.TailReader`.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass
+from typing import Any
+
+from repro.telemetry.bus import TailReader
 
 #: Bench workload whose median seeds the per-unit-seconds ETA prior.
 #: Jobs=1 and cache-cold: the most conservative committed throughput.
@@ -143,12 +144,8 @@ def discover_bench_prior(*roots: str | pathlib.Path) -> float | None:
     return None
 
 
-def _is_envelope(event: dict[str, Any]) -> bool:
-    return "v" in event and "kind" in event and "data" in event
-
-
 class ProgressEngine:
-    """Fold envelopes (or raw trace events) into renderable state."""
+    """Fold ``repro.events`` envelopes into renderable state."""
 
     def __init__(
         self,
@@ -158,7 +155,7 @@ class ProgressEngine:
         self.eta = eta if eta is not None else EtaEstimator()
         self.phases: dict[str, PhaseProgress] = {}
         self.current_phase: str | None = None
-        #: Total envelopes/events folded.
+        #: Total envelopes folded.
         self.events = 0
         #: Producer-announced drops plus sequence gaps we observed.
         self.dropped = 0
@@ -186,13 +183,10 @@ class ProgressEngine:
             self.phases[label] = PhaseProgress(name=label)
         return self.phases[label]
 
-    def fold(self, event: dict[str, Any], at: float | None = None) -> None:
-        """Fold one stream element; ``at`` is the consumer's clock."""
+    def fold(self, envelope: dict[str, Any], at: float | None = None) -> None:
+        """Fold one envelope; ``at`` is the consumer's clock."""
         self.events += 1
-        if _is_envelope(event):
-            self._fold_envelope(event)
-        else:
-            self._fold_raw(event)
+        self._fold_envelope(envelope)
         if at is not None:
             self.eta.observe(at, self.completed_total())
 
@@ -258,44 +252,6 @@ class ProgressEngine:
         # ``span``/``event`` envelopes carry no progress information the
         # ``phase``/``progress`` kinds don't already provide; counting
         # unit spans here would double-count against progress ticks.
-
-    #: Phase-span names mapped onto the ``unit_kind`` their units carry,
-    #: so raw-mode unit and phase spans land in the same bucket.
-    _RAW_PHASE_KINDS = {"dataset-build": "dataset", "sweep": "sweep"}
-
-    def _fold_raw(self, event: dict[str, Any]) -> None:
-        """Fold a raw tracer document (plain ``events.jsonl`` lines).
-
-        Spans arrive in *completion* order — units before the phase
-        span that contains them — so raw mode groups by the unit's own
-        ``unit_kind`` attr and folds phase spans onto the same bucket
-        (accumulating declared totals across GPUs) instead of relying
-        on a current-phase announcement the stream cannot provide.
-        """
-        etype = event.get("type")
-        if etype == "metrics":
-            self.finished = True
-            return
-        if etype != "span":
-            return
-        kind = event.get("kind")
-        attrs = event.get("attrs") or {}
-        if kind == "phase":
-            name = str(event.get("name", "(run)"))
-            phase = self._phase(self._RAW_PHASE_KINDS.get(name, name))
-            units = attrs.get("units")
-            if isinstance(units, int):
-                phase.units += units
-        elif kind == "unit":
-            # Exactly one unit span per unit: executed units get one
-            # grafted ``worker_clock`` span (serial runs included),
-            # cache hits one parent-side span *instead* — never both.
-            phase = self._phase(str(attrs.get("unit_kind") or "(units)"))
-            phase.completed += 1
-            if attrs.get("cache_hit"):
-                phase.cache_hits += 1
-            if event.get("status") not in (None, "ok"):
-                phase.failed += 1
 
     # ------------------------------------------------------------------
     # reading
@@ -387,64 +343,13 @@ def render_progress(engine: ProgressEngine) -> str:
     return "\n".join(lines) + "\n"
 
 
-class TailReader:
-    """Incremental NDJSON reader tolerant of a torn final line.
-
-    Each :meth:`poll` reads whatever the producer appended since the
-    last call and yields only *complete* lines; a partial final line
-    (the writer mid-``write``, or a SIGKILL mid-flush) stays buffered
-    until its newline shows up — or forever, which is exactly the
-    durability contract: torn tails are ignored, never misparsed.
-    """
-
-    def __init__(self, path: str | pathlib.Path) -> None:
-        self.path = pathlib.Path(path)
-        self._offset = 0
-        self._buffer = ""
-        #: Complete lines that failed to parse as JSON (should stay 0).
-        self.malformed = 0
-
-    def poll(self) -> list[dict[str, Any]]:
-        """Parse and return the complete new lines since the last poll."""
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                handle.seek(self._offset)
-                chunk = handle.read()
-                self._offset = handle.tell()
-        except OSError:
-            return []
-        if not chunk:
-            return []
-        self._buffer += chunk
-        events: list[dict[str, Any]] = []
-        while "\n" in self._buffer:
-            line, self._buffer = self._buffer.split("\n", 1)
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                parsed = json.loads(line)
-            except json.JSONDecodeError:
-                self.malformed += 1
-                continue
-            if isinstance(parsed, dict):
-                events.append(parsed)
-        return events
-
-
 def follow_into(
     engine: ProgressEngine,
     reader: TailReader,
     at: float | None = None,
 ) -> int:
-    """Fold one poll's worth of events; returns how many were folded."""
-    events = reader.poll()
-    for event in events:
-        engine.fold(event, at=at)
-    return len(events)
-
-
-def iter_events(path: str | pathlib.Path) -> Iterator[dict[str, Any]]:
-    """One-shot iteration over a (possibly torn) NDJSON event file."""
-    reader = TailReader(path)
-    yield from reader.poll()
+    """Fold one poll's worth of envelopes; returns how many were folded."""
+    envelopes = reader.poll()
+    for envelope in envelopes:
+        engine.fold(envelope, at=at)
+    return len(envelopes)

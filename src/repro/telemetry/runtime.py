@@ -33,8 +33,8 @@ class Telemetry:
     ----------
     sinks:
         Event sinks shared by the tracer (e.g. a
-        :class:`~repro.telemetry.sinks.JsonlSink` writing the campaign
-        event log).
+        :class:`~repro.telemetry.sinks.MemorySink` collecting events in
+        process).
     enabled:
         A disabled context records nothing; :data:`NULL_TELEMETRY` is
         the shared disabled instance.

@@ -2,10 +2,10 @@
 
 Two artifact shapes come out of a traced campaign:
 
-* the **event log** — a JSONL stream (one JSON object per line) of
-  ``span`` / ``event`` / ``metrics`` records in completion order,
-  written incrementally by :class:`JsonlSink` and consumed by
-  ``repro trace summarize``; and
+* the **event log** — the tracer's ``span`` / ``event`` / ``metrics``
+  documents reach files only through the
+  :class:`~repro.telemetry.bus.EventBus` (itself a :class:`Sink`),
+  which writes them as ``repro.events`` v1 envelopes; and
 * the **aggregated metrics document** — ``metrics.json``, written once
   at the end by :func:`write_metrics_json` with deterministic counters
   separated from wall-clock ``timings``.
@@ -40,35 +40,6 @@ class MemorySink(Sink):
 
     def emit(self, event: dict[str, Any]) -> None:
         self.events.append(event)
-
-
-class JsonlSink(Sink):
-    """Appends one JSON object per event to a file, opened lazily.
-
-    The handle is line-buffered and additionally flushed per event, so
-    a concurrent tailer (``repro top``, ``repro trace summarize
-    --follow``) sees every completed line immediately and a killed
-    campaign leaves a readable prefix of the log rather than a torn
-    tail of partial objects.
-    """
-
-    def __init__(self, path: str | pathlib.Path) -> None:
-        self.path = pathlib.Path(path)
-        self._handle = None
-
-    def emit(self, event: dict[str, Any]) -> None:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(
-                self.path, "w", encoding="utf-8", buffering=1
-            )
-        self._handle.write(json.dumps(event, sort_keys=True) + "\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
 
 
 def metrics_document(snapshot: dict[str, Any]) -> dict[str, Any]:

@@ -1,18 +1,20 @@
-"""Render a per-phase / per-unit breakdown of a campaign event log.
+"""Render a per-phase / per-unit breakdown of a campaign event stream.
 
-Powers ``repro trace summarize <events.jsonl>``: reads the JSONL event
-stream a traced run emitted, aggregates span durations by phase, by
-work-unit kind and by instrument operation, and renders fixed-width
-tables plus the deterministic counter section of the final metrics
-snapshot (when the log carries one).
+Powers ``repro trace summarize <events>``: reads a ``repro.events``
+stream (trace log, live stream or flight dump), aggregates the ``span``
+envelopes' durations by phase, by work-unit kind and by instrument
+operation, and renders fixed-width tables plus the deterministic
+counter section of the final ``metrics`` envelope (when the stream
+carries one).
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable
+
+from repro.telemetry.bus import read_stream
 
 
 @dataclass
@@ -41,13 +43,13 @@ class SpanAggregate:
 
 @dataclass
 class TraceSummary:
-    """Aggregated view of one event log."""
+    """Aggregated view of one event stream."""
 
     #: Span groups keyed by ``kind`` then group label.
     groups: dict[str, dict[str, SpanAggregate]]
-    #: Last ``metrics`` event in the log, if any.
+    #: Payload of the last ``metrics`` envelope, if any.
     metrics: dict[str, Any] | None
-    #: Total events read.
+    #: Total envelopes read.
     n_events: int
 
     def aggregate(self, kind: str) -> list[SpanAggregate]:
@@ -121,92 +123,27 @@ def _group_label(event: dict[str, Any]) -> str:
     return str(event.get("name", ""))
 
 
-def _unwrap(event: dict[str, Any]) -> dict[str, Any] | None:
-    """Reduce a ``repro.events`` envelope to a summarizable event.
-
-    Envelope payloads that are tracer documents (``span`` / ``event`` /
-    ``metrics``) pass through verbatim; engine-side kinds (``progress``,
-    ``unit``, ``breaker``, ...) are tagged with their kind as ``type``
-    so downstream consumers can still group them.  Raw (non-envelope)
-    events pass through untouched.
-    """
-    if not ("v" in event and "kind" in event and "data" in event):
-        return event
-    data = event.get("data")
-    if not isinstance(data, dict):
-        return None
-    if "type" in data:
-        return data
-    return {"type": event.get("kind"), **data}
-
-
-def read_events(path: str | pathlib.Path) -> list[dict[str, Any]]:
-    """Parse an event log, skipping torn or non-JSON lines.
-
-    Accepts all three on-disk shapes: a raw trace log
-    (``events.jsonl``), a live envelope stream (``events.ndjson`` —
-    envelopes are unwrapped), and a flight-recorder dump
-    (``flight.json`` — a single JSON document whose ``events`` list is
-    unwrapped).
-    """
-    events: list[dict[str, Any]] = []
-    text = pathlib.Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        # Whole-file parse: a flight.json dump is one JSON document,
-        # not NDJSON.  Anything else falls through to line mode.
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError:
-            document = None
-        if (
-            isinstance(document, dict)
-            and document.get("format") == "repro.flight"
-            and isinstance(document.get("events"), list)
-        ):
-            for wrapped in document["events"]:
-                if isinstance(wrapped, dict):
-                    event = _unwrap(wrapped)
-                    if event is not None:
-                        events.append(event)
-            return events
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn tail of a killed run
-        if isinstance(event, dict):
-            event = _unwrap(event)
-            if event is not None:
-                events.append(event)
-    return events
-
-
-def summarize_events(events: Iterable[dict[str, Any]]) -> TraceSummary:
-    """Aggregate span durations by kind and group label."""
+def summarize_events(envelopes: Iterable[dict[str, Any]]) -> TraceSummary:
+    """Aggregate ``span`` envelope durations by kind and group label."""
     groups: dict[str, dict[str, SpanAggregate]] = {}
     metrics: dict[str, Any] | None = None
     n_events = 0
-    for event in events:
+    for envelope in envelopes:
         n_events += 1
-        etype = event.get("type")
-        if etype == "metrics":
-            metrics = event
+        if envelope.get("kind") == "metrics":
+            metrics = envelope["data"]
             continue
-        if etype != "span":
+        if envelope.get("kind") != "span":
             continue
-        kind = event.get("kind", "span")
-        label = _group_label(event)
-        by_label = groups.setdefault(kind, {})
+        span = envelope["data"]
+        label = _group_label(span)
+        by_label = groups.setdefault(span.get("kind", "span"), {})
         aggregate = by_label.get(label)
         if aggregate is None:
             aggregate = by_label[label] = SpanAggregate(key=label)
         aggregate.add(
-            float(event.get("duration_s", 0.0)),
-            str(event.get("status", "ok")),
+            float(span.get("duration_s", 0.0)),
+            str(span.get("status", "ok")),
         )
     return TraceSummary(groups=groups, metrics=metrics, n_events=n_events)
 
@@ -260,5 +197,5 @@ def render_summary(summary: TraceSummary) -> str:
 
 
 def summarize_file(path: str | pathlib.Path) -> str:
-    """Read, aggregate and render one event log."""
-    return render_summary(summarize_events(read_events(path)))
+    """Read, aggregate and render one event stream."""
+    return render_summary(summarize_events(read_stream(path)))

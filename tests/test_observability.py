@@ -30,19 +30,21 @@ from repro.execution import (
 )
 from repro.faults.health import HEALTH_SCHEMA, CampaignHealth
 from repro.kernels.suites import get_benchmark
-from repro.session import CampaignSpec
+from repro.campaign import Campaign
+from repro.cli import main
+from repro.session import CampaignSpec, RunContext
 from repro.telemetry import (
     EVENTS_VERSION,
     EtaEstimator,
     EventBus,
     FlightRecorder,
-    JsonlSink,
+    LiveEventWriter,
     ProgressEngine,
     TailReader,
     Telemetry,
     bench_unit_seconds,
     follow_into,
-    read_events,
+    read_stream,
     render_progress,
     summarize_events,
     trace_events_document,
@@ -59,6 +61,18 @@ def _units(seed: int = 11, count: int = 3):
     gpu = get_gpu("GTX 480")
     benchmarks = [get_benchmark(n) for n in ("nn", "hotspot", "lud")]
     return sweep_units(gpu, benchmarks, seed=seed)[:count]
+
+
+def _envelope(kind, data, seq=0):
+    return {"v": EVENTS_VERSION, "seq": seq, "kind": kind, "data": data}
+
+
+def _flight(path):
+    """The trailing ``flight`` envelope's data of a dump, checked as v1."""
+    envelopes = read_stream(path)
+    assert envelopes[0]["kind"] == "header"
+    assert envelopes[-1]["kind"] == "flight"
+    return envelopes[-1]["data"]
 
 
 def _collector():
@@ -188,52 +202,58 @@ class TestEventBus:
 
 class TestFlightRecorder:
     def test_ring_keeps_most_recent_and_counts_evictions(self, tmp_path):
-        recorder = FlightRecorder(tmp_path / "flight.json", capacity=3)
+        recorder = FlightRecorder(tmp_path / "flight.ndjson", capacity=3)
         for i in range(5):
             recorder({"seq": i})
         assert [e["seq"] for e in recorder.ring] == [2, 3, 4]
         assert recorder.evicted == 2
 
     def test_dump_writes_document_and_accumulates_reasons(self, tmp_path):
-        path = tmp_path / "flight.json"
+        path = tmp_path / "flight.ndjson"
         recorder = FlightRecorder(path, capacity=3)
-        recorder({"seq": 0})
+        ring = _envelope("progress", {"i": 0}, seq=4)
+        recorder(ring)
         recorder.dump("watchdog-timeout")
         recorder.dump("shutdown-signal")
-        document = json.loads(path.read_text(encoding="utf-8"))
-        assert document["format"] == "repro.flight"
-        assert document["reason"] == "shutdown-signal"
-        assert document["reasons"] == ["watchdog-timeout", "shutdown-signal"]
-        assert document["events"] == [{"seq": 0}]
+        header, replayed, trailer = read_stream(path)
+        assert header["seq"] == 0
+        assert header["data"]["format"] == "repro.events"
+        assert replayed == ring
+        assert trailer["seq"] == 5  # one past the ring, no bus involved
+        assert trailer["data"] == {
+            "reason": "shutdown-signal",
+            "reasons": ["watchdog-timeout", "shutdown-signal"],
+            "capacity": 3,
+            "evicted": 0,
+        }
 
     def test_bus_flight_dump_publishes_flight_envelope(self, tmp_path):
         bus = EventBus()
         envelopes, handler = _collector()
         bus.subscribe("test", handler)
-        bus.attach_flight_recorder(tmp_path / "flight.json")
+        bus.attach_flight_recorder(tmp_path / "flight.ndjson")
         assert bus.flight_dump("breaker-quarantine") is not None
         bus.close()
         flights = [e for e in envelopes if e["kind"] == "flight"]
         assert len(flights) == 1
         assert flights[0]["data"]["reason"] == "breaker-quarantine"
-        assert (tmp_path / "flight.json").exists()
+        assert (tmp_path / "flight.ndjson").exists()
 
     def test_shutdown_signal_dumps_the_ring(self, tmp_path):
-        path = tmp_path / "flight.json"
+        path = tmp_path / "flight.ndjson"
         bus = EventBus()
         bus.attach_flight_recorder(path)
         bus.publish("progress", {"i": 0})
         try:
             request_shutdown()
             assert path.exists()
-            document = json.loads(path.read_text(encoding="utf-8"))
-            assert document["reason"] == "shutdown-signal"
+            assert _flight(path)["reason"] == "shutdown-signal"
         finally:
             clear_shutdown()
             bus.close()
 
     def test_close_deregisters_the_shutdown_callback(self, tmp_path):
-        path = tmp_path / "flight.json"
+        path = tmp_path / "flight.ndjson"
         bus = EventBus()
         bus.attach_flight_recorder(path)
         bus.close()
@@ -243,9 +263,9 @@ class TestFlightRecorder:
         finally:
             clear_shutdown()
 
-    def test_flight_json_replays_through_summarize(self, tmp_path):
+    def test_flight_dump_replays_through_summarize(self, tmp_path):
         bus = EventBus()
-        bus.attach_flight_recorder(tmp_path / "flight.json")
+        bus.attach_flight_recorder(tmp_path / "flight.ndjson")
         bus.emit({
             "type": "span", "name": "unit", "kind": "unit",
             "span_id": "a", "parent_id": None,
@@ -253,9 +273,25 @@ class TestFlightRecorder:
         })
         bus.flight_dump("watchdog-timeout")
         bus.close()
-        events = read_events(tmp_path / "flight.json")
-        summary = summarize_events(events)
+        summary = summarize_events(read_stream(tmp_path / "flight.ndjson"))
         assert summary.document()["kinds"]["unit"]
+
+    def test_dump_allocates_no_bus_seq(self, tmp_path):
+        bus = EventBus()
+        envelopes, handler = _collector()
+        bus.subscribe("test", handler)
+        recorder = bus.attach_flight_recorder(tmp_path / "flight.ndjson")
+        bus.publish("progress", {"i": 0})
+        published = bus.stats()["published"]
+        recorder.dump("watchdog-timeout")
+        assert bus.stats()["published"] == published
+        # The trailer takes the seq the bus allocates next, so the dump
+        # reads as a gap-free continuation of what the ring holds.
+        assert read_stream(tmp_path / "flight.ndjson")[-1]["seq"] == published
+        bus.publish("progress", {"i": 1})
+        bus.close()
+        seqs = [e["seq"] for e in envelopes]
+        assert seqs == list(range(len(seqs)))
 
 
 # ----------------------------------------------------------------------
@@ -330,36 +366,42 @@ class TestProgressEngine:
         assert bench_unit_seconds(document) == pytest.approx(0.01)
         assert bench_unit_seconds({}) is None
 
-    def test_raw_trace_log_folds_without_envelopes(self):
-        # Spans in completion order: units land before their phase span
-        # and worker-grafted executed units count alongside the
-        # parent-side cache-hit span — the unit_kind attr buckets both.
-        events = [
-            {"type": "span", "kind": "unit", "status": "ok",
-             "attrs": {"unit_kind": "dataset", "cache_hit": True}},
-            {"type": "span", "kind": "unit", "status": "error",
-             "attrs": {"unit_kind": "dataset", "worker_clock": True}},
-            {"type": "span", "kind": "phase", "name": "dataset-build",
-             "attrs": {"gpu": "GTX 480", "units": 2}},
-            {"type": "metrics"},
-        ]
+    def test_trace_log_folds_from_phase_and_progress_envelopes(self):
+        # A trace log carries the phase/progress kinds as well as the
+        # spans; unit and phase spans (in completion order, units before
+        # their phase) must not count again on top of the ticks.
+        envelopes = self._stream([
+            ("phase", {"phase": "dataset:GTX 480", "units": 2}),
+            ("progress", {"phase": "dataset:GTX 480", "cache_hit": True}),
+            ("span", {"type": "span", "kind": "unit", "status": "ok",
+                      "attrs": {"unit_kind": "dataset", "cache_hit": True}}),
+            ("progress", {"phase": "dataset:GTX 480", "failed": True}),
+            ("span", {"type": "span", "kind": "unit", "status": "error",
+                      "attrs": {"unit_kind": "dataset", "worker_clock": True}}),
+            ("span", {"type": "span", "kind": "phase", "name": "dataset-build",
+                      "attrs": {"gpu": "GTX 480", "units": 2}}),
+            ("metrics", {"type": "metrics"}),
+        ])
         engine = ProgressEngine()
-        for event in events:
-            engine.fold(event)
-        phase = engine.phases["dataset"]
+        for envelope in envelopes:
+            engine.fold(envelope)
+        assert list(engine.phases) == ["dataset:GTX 480"]
+        phase = engine.phases["dataset:GTX 480"]
         assert (phase.units, phase.completed, phase.failed) == (2, 2, 1)
         assert phase.cache_hits == 1
         assert engine.finished
 
     def test_tail_reader_buffers_torn_final_line(self, tmp_path):
         path = tmp_path / "events.ndjson"
-        path.write_text('{"a": 1}\n{"torn": ', encoding="utf-8")
+        first = _envelope("header", {"a": 1})
+        line = json.dumps(_envelope("progress", {"torn": 2}, seq=1))
+        path.write_text(json.dumps(first) + "\n" + line[:20], encoding="utf-8")
         reader = TailReader(path)
-        assert reader.poll() == [{"a": 1}]
+        assert reader.poll() == [first]
         assert reader.poll() == []  # the torn tail stays buffered
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write('2}\n')
-        assert reader.poll() == [{"torn": 2}]
+            handle.write(line[20:] + "\n")
+        assert reader.poll() == [json.loads(line)]
         assert reader.malformed == 0
 
     def test_render_progress_mentions_phases_and_eta(self):
@@ -383,11 +425,11 @@ class TestProgressEngine:
 
 class TestTraceExport:
     def _span(self, span_id, parent_id, start, end, **attrs):
-        return {
+        return _envelope("span", {
             "type": "span", "name": f"s{span_id}", "kind": "unit",
             "span_id": str(span_id), "parent_id": parent_id,
             "start_s": start, "end_s": end, "status": "ok", "attrs": attrs,
-        }
+        })
 
     def test_round_trips_every_span_including_worker_grafted(self):
         events = [
@@ -412,7 +454,8 @@ class TestTraceExport:
     def test_instants_anchor_at_their_parent_span(self):
         events = [
             self._span(1, None, 1.0, 2.0),
-            {"type": "event", "name": "note", "span_id": "1", "attrs": {}},
+            _envelope("event", {"type": "event", "name": "note",
+                                "span_id": "1", "attrs": {}}),
         ]
         document = trace_events_document(events)
         instants = [e for e in document["traceEvents"] if e["ph"] == "i"]
@@ -432,9 +475,129 @@ class TestTraceExport:
         telemetry = Telemetry(bus=bus)
         run_units(_units(), ExecutionConfig(telemetry=telemetry))
         telemetry.close()
-        document = trace_events_document(read_events(path))
+        document = trace_events_document(read_stream(path))
         assert validate_trace_document(document) == []
         assert document["otherData"]["spans"] > 0
+
+
+# ----------------------------------------------------------------------
+# one format, one reader: every producer, every consumer
+# ----------------------------------------------------------------------
+
+
+def _campaign_stream(directory, *flags):
+    """Run a small campaign through the CLI with the given event flags."""
+    argv = ["campaign", str(directory), "--gpu", "GTX 460",
+            "--benchmark", "nn", "--benchmark", "hotspot", "--seed", "7"]
+    assert main(argv + list(flags)) == 0
+
+
+def _flight_stream(directory):
+    """The same campaign with a flight recorder, dumped after the run."""
+    spec = CampaignSpec(seed=7, flight_recorder=True)
+    ctx = RunContext.from_spec(spec, base_dir=directory)
+    Campaign(directory, ["GTX 460"], ["nn", "hotspot"], ctx=ctx).run()
+    ctx.telemetry.bus.flight_dump("manual")
+    ctx.close()
+
+
+#: The event file each producer writes into its campaign directory.
+STREAM_NAMES = {
+    "trace": "events.jsonl",
+    "live": "events.ndjson",
+    "flight": "flight.ndjson",
+}
+
+
+class TestOneReader:
+    def _produce(self, producer, directory):
+        if producer == "flight":
+            _flight_stream(directory)
+        else:
+            _campaign_stream(directory, f"--{producer}")
+        return directory / STREAM_NAMES[producer]
+
+    def _consumers(self, path, capsys):
+        """What summarize --json, top --once and export report."""
+        capsys.readouterr()
+        assert main(["trace", "summarize", str(path), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert main(["top", str(path), "--once"]) == 0
+        frame = capsys.readouterr().out
+        out = path.with_name(path.name + ".trace.json")
+        assert main(["trace", "export", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        exported = json.loads(out.read_text(encoding="utf-8"))
+        return summary, frame, exported
+
+    @pytest.mark.parametrize("producer", sorted(STREAM_NAMES))
+    def test_consumers_agree_on_every_producer(
+        self, producer, tmp_path, capsys
+    ):
+        path = self._produce(producer, tmp_path / producer)
+        envelopes = read_stream(path)
+        assert envelopes[0]["kind"] == "header"
+        assert envelopes[0]["data"]["format"] == "repro.events"
+        summary, frame, exported = self._consumers(path, capsys)
+        spans = sum(
+            row["count"] for rows in summary["kinds"].values() for row in rows
+        )
+        units = sum(row["count"] for row in summary["kinds"]["unit"])
+        assert summary["n_events"] == len(envelopes)
+        assert exported["otherData"]["spans"] == spans > 0
+        assert f"units: {units}/{units} (100%)   done" in frame
+        assert f"events: {len(envelopes)} folded, 0 dropped, 0 sequence" in frame
+
+    def test_trace_and_live_logs_are_byte_identical(self, tmp_path):
+        _campaign_stream(tmp_path, "--trace", "--live")
+        trace = (tmp_path / "events.jsonl").read_bytes()
+        assert trace == (tmp_path / "events.ndjson").read_bytes()
+
+    def test_torn_final_line_is_ignored_by_every_consumer(
+        self, tmp_path, capsys
+    ):
+        _campaign_stream(tmp_path / "run", "--live")
+        whole = (tmp_path / "run" / "events.ndjson").read_text(encoding="utf-8")
+        lines = whole.splitlines(keepends=True)
+        torn = tmp_path / "torn.ndjson"
+        torn.write_text("".join(lines[:-1]) + lines[-1][:25], encoding="utf-8")
+        reader = TailReader(torn)
+        envelopes = reader.poll()
+        assert len(envelopes) == len(lines) - 1
+        assert envelopes[-1]["kind"] == "metrics"  # the summary was torn
+        assert reader.malformed == 0
+        summary, frame, exported = self._consumers(torn, capsys)
+        assert summary["n_events"] == len(lines) - 1
+        assert f"events: {len(lines) - 1} folded" in frame
+        assert exported["otherData"]["spans"] > 0
+
+    def test_seq_gap_is_counted_not_fatal(self, tmp_path, capsys):
+        _campaign_stream(tmp_path / "run", "--live")
+        lines = (tmp_path / "run" / "events.ndjson").read_text(
+            encoding="utf-8"
+        ).splitlines(keepends=True)
+        gapped = tmp_path / "gapped.ndjson"
+        gapped.write_text("".join(lines[:3] + lines[5:]), encoding="utf-8")
+        engine = ProgressEngine()
+        follow_into(engine, TailReader(gapped))
+        assert engine.seq_gaps == 2
+        summary, frame, _ = self._consumers(gapped, capsys)
+        assert summary["n_events"] == len(lines) - 2
+        assert "2 sequence gaps" in frame
+
+    def test_lines_that_are_not_v1_envelopes_are_not_read(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        raw_span = {"type": "span", "kind": "unit", "name": "u"}
+        other_version = {"v": 2, "seq": 1, "kind": "span", "data": {}}
+        header = _envelope("header", {"format": "repro.events"})
+        path.write_text(
+            "".join(json.dumps(d) + "\n" for d in
+                    (header, raw_span, other_version, "text")),
+            encoding="utf-8",
+        )
+        reader = TailReader(path)
+        assert reader.poll() == [header]
+        assert reader.malformed == 3
 
 
 # ----------------------------------------------------------------------
@@ -448,7 +611,7 @@ class TestEngineIntegration:
         envelopes, handler = _collector()
         bus.subscribe("test", handler)
         bus.attach_writer(tmp_path / "events.ndjson")
-        bus.attach_flight_recorder(tmp_path / "flight.json")
+        bus.attach_flight_recorder(tmp_path / "flight.ndjson")
         return bus, envelopes
 
     def test_progress_ticks_follow_canonical_unit_order(self, tmp_path):
@@ -473,12 +636,11 @@ class TestEngineIntegration:
             ),
         )
         telemetry.close()
-        document = json.loads(
-            (tmp_path / "flight.json").read_text(encoding="utf-8")
-        )
-        assert "watchdog-timeout" in document["reasons"]
+        assert "watchdog-timeout" in _flight(tmp_path / "flight.ndjson")[
+            "reasons"
+        ]
         # The dump replays cleanly through the summarizer.
-        assert summarize_events(read_events(tmp_path / "flight.json"))
+        assert summarize_events(read_stream(tmp_path / "flight.ndjson"))
 
     def test_breaker_quarantine_dumps_flight_once(self, tmp_path):
         bus, envelopes = self._bus(tmp_path)
@@ -497,10 +659,8 @@ class TestEngineIntegration:
             if e["kind"] == "breaker" and e["data"]["event"] == "open"
         ]
         assert len(opens) == 1
-        document = json.loads(
-            (tmp_path / "flight.json").read_text(encoding="utf-8")
-        )
-        assert document["reasons"].count("breaker-quarantine") == 1
+        reasons = _flight(tmp_path / "flight.ndjson")["reasons"]
+        assert reasons.count("breaker-quarantine") == 1
 
     def test_pool_rebuild_publishes_and_dumps(self, tmp_path):
         from test_pool import _poison
@@ -515,10 +675,7 @@ class TestEngineIntegration:
         telemetry.close()
         pools = [e for e in envelopes if e["kind"] == "pool"]
         assert pools and pools[0]["data"]["reason"] == "broken"
-        document = json.loads(
-            (tmp_path / "flight.json").read_text(encoding="utf-8")
-        )
-        assert "pool-rebuild" in document["reasons"]
+        assert "pool-rebuild" in _flight(tmp_path / "flight.ndjson")["reasons"]
 
     def test_bus_leaves_results_and_counters_identical(self):
         units = _units()
@@ -557,25 +714,25 @@ class TestSpecAndHealth:
 
     def test_health_document_carries_schema_and_event_paths(self):
         health = CampaignHealth(
-            events_path="events.ndjson", flight_recorder_path="flight.json"
+            events_path="events.ndjson", flight_recorder_path="flight.ndjson"
         )
         document = health.document()
         assert document["schema"] == HEALTH_SCHEMA
         assert document["events_path"] == "events.ndjson"
-        assert document["flight_recorder_path"] == "flight.json"
+        assert document["flight_recorder_path"] == "flight.ndjson"
         assert CampaignHealth().document()["events_path"] is None
 
     def test_jsonl_sink_lines_are_complete_mid_run(self, tmp_path):
+        # The trace log's writer is the live writer: same line contract.
         path = tmp_path / "events.jsonl"
-        sink = JsonlSink(path)
-        sink.emit({"type": "event", "name": "first"})
-        sink.emit({"type": "event", "name": "second"})
+        writer = LiveEventWriter(path)
+        writer(_envelope("event", {"name": "first"}))
+        writer(_envelope("event", {"name": "second"}, seq=1))
         # Without closing: a tailer already sees two complete lines.
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line)["name"] for line in lines] == [
+        assert [e["data"]["name"] for e in read_stream(path)] == [
             "first", "second",
         ]
-        sink.close()
+        writer.close()
 
 
 # ----------------------------------------------------------------------
@@ -637,7 +794,7 @@ class TestKillMidFlight:
         assert folded > 0
         assert reader.malformed == 0  # torn tail buffered, not misparsed
         # The summarizer tolerates the same torn stream.
-        summary = summarize_events(read_events(events_path))
+        summary = summarize_events(read_stream(events_path))
         assert summary.document()["format"] == "repro.trace-summary"
         # Every streamed completion is backed by a durable journal
         # record: a progress tick is published only after its journal
@@ -677,9 +834,8 @@ class TestKillMidFlight:
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=120)
         assert proc.returncode == 75  # EX_TEMPFAIL: resumable
-        flight = pathlib.Path(directory) / "flight.json"
+        flight = pathlib.Path(directory) / "flight.ndjson"
         assert flight.exists()
-        document = json.loads(flight.read_text(encoding="utf-8"))
-        assert any("shutdown" in r for r in document["reasons"])
+        assert any("shutdown" in r for r in _flight(flight)["reasons"])
         # The dump replays cleanly through the summarizer.
-        assert summarize_events(read_events(flight))
+        assert summarize_events(read_stream(flight))

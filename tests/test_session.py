@@ -1,9 +1,9 @@
 """The session layer: RunContext normalization and declarative specs.
 
-Covers the PR-4 contract: all kwarg-bundle normalization happens exactly
-once (``RunContext.resolve``), the deprecated per-layer kwargs remain as
-a warning shim that produces byte-identical artifacts, and campaign
-specs load/resolve/re-emit as a fixed point whatever the source syntax.
+Covers the session contract: all kwarg-bundle normalization happens
+exactly once (``RunContext.resolve``), the old per-layer kwargs are
+gone (a ``ctx`` is the only way in), and campaign specs
+load/resolve/re-emit as a fixed point whatever the source syntax.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ import pytest
 
 from repro.campaign import Campaign
 from repro.characterize.sweep import FrequencySweep
-from repro.core.dataset import build_dataset
 from repro.execution.engine import ExecutionConfig
 from repro.faults import resolve_plan
-from repro.kernels.suites import get_benchmark
 from repro.session import (
     CampaignSpec,
     RunContext,
@@ -27,7 +25,6 @@ from repro.session import (
     merge_execution,
     normalize_faults,
 )
-from repro.session.spec import _mini_toml
 from repro.telemetry import Telemetry
 
 EXAMPLE_SPEC = (
@@ -130,36 +127,13 @@ class TestRunContextResolve:
 
 
 # ----------------------------------------------------------------------
-# deprecated kwarg shim
+# removed kwarg bundles: a context is the only way in
 # ----------------------------------------------------------------------
 
 
 class TestLegacyShim:
-    def test_build_dataset_warns(self, gtx480):
-        with pytest.deprecated_call(match="build_dataset"):
-            build_dataset(
-                gtx480, [get_benchmark("hotspot")], pairs=["H-H"], seed=5
-            )
-
-    def test_frequency_sweep_warns(self, gtx480):
-        with pytest.deprecated_call(match="FrequencySweep"):
-            FrequencySweep(gtx480, seed=5)
-
-    def test_sweep_run_execution_kwarg_warns(self, gtx480):
-        sweep = FrequencySweep(gtx480, RunContext.resolve(seed=5))
-        with pytest.deprecated_call(match="execution keyword"):
-            sweep.run(
-                [get_benchmark("hotspot")],
-                scale=0.25,
-                execution=ExecutionConfig(),
-            )
-
-    def test_campaign_warns(self, tmp_path):
-        with pytest.deprecated_call(match="Campaign"):
-            Campaign(tmp_path, gpus=["GTX 460"], seed=7)
-
     def test_ctx_plus_legacy_kwargs_is_an_error(self, tmp_path):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="seed"):
             Campaign(
                 tmp_path,
                 gpus=["GTX 460"],
@@ -176,41 +150,6 @@ class TestLegacyShim:
 
 
 class TestLegacyEquivalence:
-    """Same settings through the shim and through a RunContext produce
-    byte-identical campaign archives, serial and parallel alike."""
-
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_archives_byte_identical(self, tmp_path, jobs):
-        with pytest.deprecated_call():
-            legacy = Campaign(
-                tmp_path / "legacy",
-                gpus=["GTX 460"],
-                benchmarks=BENCHMARKS,
-                seed=11,
-                execution=ExecutionConfig(jobs=jobs),
-                telemetry=Telemetry(),
-            )
-        legacy.run()
-        ctx = RunContext.resolve(
-            seed=11, execution=ExecutionConfig(jobs=jobs), telemetry=Telemetry()
-        )
-        modern = Campaign(
-            tmp_path / "ctx",
-            gpus=["GTX 460"],
-            benchmarks=BENCHMARKS,
-            ctx=ctx,
-        )
-        modern.run()
-        for name in ("campaign.json", "health.json", "dataset_gtx_460.json"):
-            left = (tmp_path / "legacy" / name).read_bytes()
-            right = (tmp_path / "ctx" / name).read_bytes()
-            assert left == right, f"{name} differs between shim and ctx paths"
-        # metrics.json: the deterministic counter section must match
-        # exactly (timings derive from wall clocks and are quarantined).
-        left = json.loads((tmp_path / "legacy" / "metrics.json").read_text())
-        right = json.loads((tmp_path / "ctx" / "metrics.json").read_text())
-        assert left["counters"] == right["counters"]
-
     def test_manifest_spec_is_mechanics_independent(self, tmp_path):
         """jobs/cache/trace cannot change results, so they must not
         split the archived manifest."""
@@ -255,28 +194,6 @@ class TestCampaignSpec:
         again = CampaignSpec.from_text(spec.to_json(), fmt="json")
         assert again == spec
         assert again.document() == spec.document()
-
-    def test_mini_toml_matches_tomllib(self):
-        tomllib = pytest.importorskip("tomllib")
-        text = EXAMPLE_SPEC.read_text(encoding="utf-8")
-        assert _mini_toml(text) == tomllib.loads(text)
-
-    def test_mini_toml_tricky_corners(self):
-        text = (
-            'gpus = ["GTX 460", "GTX 680"]  # trailing comment\n'
-            'benchmarks = [\n    "sgemm",  # per-line comment\n    "lbm",\n]\n'
-            'note = "hash # inside a string"\n'
-            "seed = 7\n"
-            "[faults]\n"
-            "crash_rate = 0.5\n"
-        )
-        document = _mini_toml(text)
-        assert document["gpus"] == ["GTX 460", "GTX 680"]
-        assert document["benchmarks"] == ["sgemm", "lbm"]
-        assert document["note"] == "hash # inside a string"
-        assert document["faults"] == {"crash_rate": 0.5}
-        tomllib = pytest.importorskip("tomllib")
-        assert document == tomllib.loads(text)
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(SpecError, match="unknown campaign-spec fields"):

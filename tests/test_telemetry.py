@@ -1,7 +1,7 @@
 """Telemetry subsystem: spans, metrics, sinks, determinism, timing.
 
 Covers the tracing/metrics layer itself (span nesting, worker-span
-grafting, counter merge semantics, JSONL sinks, the summarizer) and its
+grafting, counter merge semantics, the trace log, the summarizer) and its
 two load-bearing guarantees:
 
 * **determinism** — the aggregated metrics counters of a seeded
@@ -26,19 +26,30 @@ from repro.execution.units import sweep_units
 from repro.kernels.suites import get_benchmark
 from repro.session import RunContext
 from repro.telemetry import (
-    JsonlSink,
+    EventBus,
     MemorySink,
     Metrics,
     NullMetrics,
     Telemetry,
     Tracer,
     metrics_document,
-    read_events,
+    read_stream,
     render_summary,
     summarize_events,
     summarize_file,
     write_metrics_json,
 )
+
+
+def _traced(path):
+    """A telemetry context streaming its ``repro.events`` log to ``path``."""
+    bus = EventBus()
+    bus.attach_writer(path)
+    return Telemetry(bus=bus)
+
+
+def _metrics_envelope(document):
+    return {"v": 1, "seq": 0, "kind": "metrics", "data": document}
 
 
 class FakeClock:
@@ -172,27 +183,33 @@ class TestMetrics:
 class TestSinksAndSummary:
     def test_jsonl_sink_round_trips(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        telemetry = Telemetry(sinks=[JsonlSink(path)])
+        telemetry = _traced(path)
         with telemetry.tracer.span("campaign", kind="campaign"):
             with telemetry.tracer.span("work", kind="phase"):
                 pass
         telemetry.close()
-        events = read_events(path)
-        assert [e["name"] for e in events] == ["work", "campaign"]
-        assert all(e["type"] == "span" for e in events)
+        envelopes = read_stream(path)
+        kinds = [e["kind"] for e in envelopes]
+        assert kinds == ["header", "span", "span", "summary"]
+        assert [e["data"]["name"] for e in envelopes[1:3]] == ["work", "campaign"]
+        assert all(e["data"]["type"] == "span" for e in envelopes[1:3])
 
     def test_read_events_skips_torn_tail(self, tmp_path):
         path = tmp_path / "events.jsonl"
         line = json.dumps(
-            {"type": "span", "name": "ok", "kind": "phase", "duration_s": 1.0}
+            {
+                "v": 1,
+                "seq": 0,
+                "kind": "span",
+                "data": {"type": "span", "name": "ok", "duration_s": 1.0},
+            }
         )
-        path.write_text(line + "\n" + '{"type": "span", "name": "torn')
-        events = read_events(path)
-        assert len(events) == 1
+        path.write_text(line + "\n" + '{"v": 1, "seq": 1, "kind": "sp')
+        assert len(read_stream(path)) == 1
 
     def test_summary_renders_sections_and_counters(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        telemetry = Telemetry(sinks=[JsonlSink(path)])
+        telemetry = _traced(path)
         with telemetry.tracer.span("campaign", kind="campaign"):
             with telemetry.tracer.span("dataset-build", kind="phase"):
                 pass
@@ -407,7 +424,7 @@ def test_cli_trace_round_trip(tmp_path, capsys):
     assert "work units" in out
     assert "counters (deterministic)" in out
 
-    summary = summarize_events(read_events(events))
+    summary = summarize_events(read_stream(events))
     assert summary.metrics is not None
     assert render_summary(summary) == out.rstrip("\n")
 
@@ -427,7 +444,7 @@ def test_cli_trace_summarize_missing_file(tmp_path, capsys):
 class TestSummaryDocument:
     def _traced_log(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        telemetry = Telemetry(sinks=[JsonlSink(path)])
+        telemetry = _traced(path)
         with telemetry.tracer.span("campaign", kind="campaign"):
             with telemetry.tracer.span("sweep-gtx480", kind="phase"):
                 pass
@@ -441,7 +458,7 @@ class TestSummaryDocument:
 
     def test_document_mirrors_the_tables(self, tmp_path):
         path = self._traced_log(tmp_path)
-        summary = summarize_events(read_events(path))
+        summary = summarize_events(read_stream(path))
         doc = summary.document()
         assert doc["format"] == "repro.trace-summary"
         assert doc["n_events"] == summary.n_events
@@ -475,12 +492,11 @@ class TestSummaryDocument:
         path = tmp_path / "events.jsonl"
         metrics = Metrics()
         metrics.inc("cache.hits", 3)
+        document = {"type": "metrics", **metrics_document(metrics.snapshot())}
         path.write_text(
-            json.dumps({"type": "metrics", **metrics_document(metrics.snapshot())})
-            + "\n",
-            encoding="utf-8",
+            json.dumps(_metrics_envelope(document)) + "\n", encoding="utf-8"
         )
-        summary = summarize_events(read_events(path))
+        summary = summarize_events(read_stream(path))
         text = render_summary(summary)
         assert "counters (deterministic)" in text
         assert "phases" not in text  # nothing to tabulate but the counters
@@ -498,15 +514,19 @@ class TestSummaryDocument:
     def test_counters_property_tolerates_malformed_values(self):
         summary = summarize_events(
             [
-                {
-                    "type": "metrics",
-                    "counters": {"good": 2, "bad": "not-a-number", "also": None},
-                }
+                _metrics_envelope(
+                    {
+                        "type": "metrics",
+                        "counters": {"good": 2, "bad": "not-a-number", "also": None},
+                    }
+                )
             ]
         )
         assert summary.counters == {"good": 2}
 
     def test_counters_property_tolerates_non_dict_section(self):
-        summary = summarize_events([{"type": "metrics", "counters": ["broken"]}])
+        summary = summarize_events(
+            [_metrics_envelope({"type": "metrics", "counters": ["broken"]})]
+        )
         assert summary.counters == {}
         assert render_summary(summary) == "no span events in log (metrics event only)"
