@@ -2,22 +2,26 @@
 """Generate docs/API.md: one-line summaries of the public API.
 
 Walks every module under ``repro``, lists public classes and functions
-with the first line of their docstrings, grouped by module.
+with the first line of their docstrings, grouped by module.  Takes no
+arguments; CI regenerates the file and fails if ``git diff`` shows a
+change.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import pathlib
 import pkgutil
 import sys
 
-sys.path.insert(0, "src")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 import repro
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "docs" / "API.md"
+OUT = ROOT / "docs" / "API.md"
 
 
 def first_line(obj) -> str:
@@ -70,4 +74,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     main()

@@ -12,10 +12,10 @@ same grid columnarly:
   record) is memoized per cell, so re-evaluating a grid — the shape of
   every bench repeat and every warm campaign — costs dictionary lookups.
 
-Parity is structural, not approximate: each cell calls the **same**
-scalar physics functions (``simulate_cache``, ``simulate_timing``,
-``simulate_power``, ``solve_thermal``) with the same float inputs, and
-draws noise from generators bit-identical to ``repro.rng.stream``.  A
+The scalar and columnar paths run one cell implementation,
+:func:`~repro.engine.simulator.simulate_run`; this one passes it the
+memoized work profile, cache outcome and idle power and draws noise from
+generators bit-identical to ``repro.rng.stream``.  A
 :class:`BatchSimulator` record is therefore byte-for-byte the record
 ``GPUSimulator.run`` produces for the same cell
 (tests/test_batch_parity.py asserts this over random grids).
@@ -28,11 +28,8 @@ from typing import Any, Iterable, Sequence
 from repro.arch.dvfs import OperatingPoint
 from repro.arch.specs import GPUSpec
 from repro.engine.cache import simulate_cache
-from repro.engine.noise import lognormal_factor
-from repro.engine.power import idle_gpu_power, simulate_power
-from repro.engine.simulator import RunRecord, _cpi_cv
-from repro.engine.thermal import solve_thermal
-from repro.engine.timing import simulate_timing
+from repro.engine.power import idle_gpu_power
+from repro.engine.simulator import RunRecord, run_stream_coords, simulate_run
 from repro.kernels.profile import KernelSpec
 from repro.rng import StreamBank, stable_hash
 
@@ -63,9 +60,9 @@ def content_fingerprint(obj: Any) -> int:
 
 
 class BatchSimulator:
-    """Grid-shaped, memoizing counterpart of :class:`GPUSimulator`.
+    """Grid-shaped, memoizing evaluator of :func:`simulate_run`.
 
-    Unlike the scalar simulator there is no "currently flashed" clock
+    Unlike :class:`GPUSimulator` there is no "currently flashed" clock
     state: every cell names its operating point explicitly, which is
     what makes cells independent and the grid embarrassingly columnar.
 
@@ -95,19 +92,6 @@ class BatchSimulator:
     # vectorized seeding
     # ------------------------------------------------------------------
 
-    def cell_stream_coords(
-        self, kernel: KernelSpec, scale: float, op: OperatingPoint
-    ) -> list[tuple]:
-        """The noise-stream coordinates one cell draws from."""
-        g, k = self.spec.name, kernel.name
-        return [
-            ("timing-jitter", g, k, scale, op.key),
-            ("cpi-fixed-effect", g, k),
-            ("driver-overhead", g, k, scale),
-            ("power-fixed-effect", g, k),
-            ("power-pair-effect", g, k, op.key),
-        ]
-
     def prepare(
         self, cells: Iterable["tuple[KernelSpec, float, OperatingPoint]"]
     ) -> None:
@@ -115,7 +99,7 @@ class BatchSimulator:
         coords: list[tuple] = []
         for kernel, scale, op in cells:
             if self._record_key(kernel, scale, op) not in self._records:
-                coords.extend(self.cell_stream_coords(kernel, scale, op))
+                coords.extend(run_stream_coords(self.spec, kernel, scale, op))
         self.streams.prepare(coords)
 
     # ------------------------------------------------------------------
@@ -165,70 +149,19 @@ class BatchSimulator:
     def _evaluate(
         self, kernel: KernelSpec, scale: float, op: OperatingPoint
     ) -> RunRecord:
-        # Mirrors GPUSimulator.run exactly: same functions, same float
-        # inputs, same draw order within each stream.
-        spec = self.spec
-        work = self.work_profile(kernel, scale)
-        cache = self.cache_outcome(kernel, scale)
-        timing = simulate_timing(work, cache, spec, op)
-        power = simulate_power(cache, timing, spec, op)
-
-        traits = spec.traits
-        g, k = spec.name, kernel.name
-        streams = self.streams
-        jitter = lognormal_factor(
-            streams.stream("timing-jitter", g, k, scale, op.key),
-            traits.timing_jitter_cv,
-        )
-        cpi = lognormal_factor(
-            streams.stream("cpi-fixed-effect", g, k), _cpi_cv(kernel, traits)
-        )
-        overhead_s = traits.driver_overhead_s * float(
-            streams.stream("driver-overhead", g, k, scale).uniform(0.25, 2.75)
-        )
-        cv = traits.unmodeled_power_cv
-        fixed = lognormal_factor(
-            streams.stream("power-fixed-effect", g, k), cv * 0.9
-        )
-        interaction = lognormal_factor(
-            streams.stream("power-pair-effect", g, k, op.key), cv * 0.10
-        )
-        dynamic = (
-            power.core_dynamic_w + power.mem_background_w + power.dram_access_w
-        )
-        thermal = solve_thermal(
-            spec,
-            dynamic_w=dynamic * fixed * interaction,
-            static_w=power.static_w,
-            ambient_c=self.ambient_c,
-        )
-        kernel_seconds = timing.t_kernel * jitter * cpi
-        total_seconds = (
-            kernel_seconds
-            + timing.t_launch
-            + timing.t_transfer
-            + timing.t_host
-            + overhead_s
-        )
         idle_w = self._idle_power.get(op.key)
         if idle_w is None:
-            idle_w = self._idle_power[op.key] = idle_gpu_power(spec, op)
-        return RunRecord(
-            gpu=spec,
-            kernel=kernel,
-            scale=scale,
-            op=op,
-            work=work,
-            cache=cache,
-            timing=timing,
-            power=power,
-            kernel_seconds=kernel_seconds,
-            overhead_seconds=overhead_s,
-            total_seconds=total_seconds,
-            gpu_active_power_w=thermal.power_w,
-            gpu_idle_power_w=idle_w,
-            die_temp_c=thermal.die_c,
-            throttling=thermal.throttling,
+            idle_w = self._idle_power[op.key] = idle_gpu_power(self.spec, op)
+        return simulate_run(
+            self.spec,
+            op,
+            kernel,
+            scale,
+            self.work_profile(kernel, scale),
+            self.cache_outcome(kernel, scale),
+            idle_w,
+            self.streams.stream,
+            self.ambient_c,
         )
 
 

@@ -15,11 +15,21 @@ Run-to-run variation is injected here, deterministically:
   dynamic power that no performance counter explains — data-dependent
   toggling the paper's linear power model cannot capture, which is what
   keeps its R-squared at the realistic levels of Table V.
+
+:func:`simulate_run` is the only implementation of a run.  Its two
+callers differ only in where the noise generators come from and in
+what they memoize: :meth:`GPUSimulator.run` seeds each stream with
+:func:`repro.rng.stream` and memoizes nothing;
+:class:`~repro.engine.batch.BatchSimulator` vector-seeds a whole grid
+and memoizes per cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from repro.arch.bios import BiosImage, build_image, parse_image, patch_boot_levels
 from repro.arch.dvfs import ClockLevel, OperatingPoint, coerce_levels
@@ -107,6 +117,115 @@ class RunRecord:
         )
 
 
+#: ``draw(*coords)`` returns the noise generator of one stream.  It may
+#: reuse one generator object across calls (``StreamBank.stream``), so
+#: each generator is drawn from before the next ``draw`` call.  (A string
+#: reference: evaluating ``np.random`` here would import it eagerly.)
+Draw = Callable[..., "np.random.Generator"]
+
+
+def run_stream_coords(
+    spec: GPUSpec, kernel: KernelSpec, scale: float, op: OperatingPoint
+) -> tuple[tuple, ...]:
+    """The five noise-stream coordinates one run draws, in draw order."""
+    g, k = spec.name, kernel.name
+    return (
+        ("timing-jitter", g, k, scale, op.key),
+        ("cpi-fixed-effect", g, k),
+        ("driver-overhead", g, k, scale),
+        ("power-fixed-effect", g, k),
+        ("power-pair-effect", g, k, op.key),
+    )
+
+
+def simulate_run(
+    spec: GPUSpec,
+    op: OperatingPoint,
+    kernel: KernelSpec,
+    scale: float,
+    work: WorkProfile,
+    cache: CacheOutcome,
+    idle_w: float,
+    draw: Draw,
+    ambient_c: float,
+) -> RunRecord:
+    """One run's ground truth: the physics plus its run-to-run noise.
+
+    ``work``, ``cache`` and ``idle_w`` are the pure per-(kernel, scale)
+    and per-point inputs (``kernel.work(scale)``, ``simulate_cache``,
+    ``idle_gpu_power``) so a caller may memoize them; ``draw`` supplies
+    the noise generators of :func:`run_stream_coords`.
+    """
+    timing = simulate_timing(work, cache, spec, op)
+    power = simulate_power(cache, timing, spec, op)
+    traits = spec.traits
+    jitter_at, cpi_at, overhead_at, fixed_at, pair_at = run_stream_coords(
+        spec, kernel, scale, op
+    )
+    jitter = lognormal_factor(draw(*jitter_at), traits.timing_jitter_cv)
+
+    # Per-(GPU, benchmark) throughput idiosyncrasy: a fixed CPI effect
+    # (partition camping, replay storms) no counter observes.  Long
+    # streaming workloads average hazards out; small irregular ones
+    # (divergent, uncoalesced) are the unpredictable tail that
+    # dominates the paper's percentage errors.
+    cpi = lognormal_factor(draw(*cpi_at), _cpi_cv(kernel, traits))
+
+    # One-time driver/context/allocation overhead: benchmark- and
+    # size-specific, frequency-independent, counter-invisible.  The
+    # spread is wide but bounded (a driver never takes 10x longer to
+    # build a context), which is why this dominates the *percentage*
+    # error of short runs while leaving R-squared nearly untouched.
+    overhead_s = traits.driver_overhead_s * float(
+        draw(*overhead_at).uniform(0.25, 2.75)
+    )
+
+    # Unmodeled power structure, split between a per-(GPU, benchmark)
+    # fixed effect and a per-(GPU, benchmark, pair) interaction —
+    # different operating points excite different data paths.  The
+    # bulk is the fixed effect (cancels in energy ratios between pairs,
+    # so the Section III characterization is unaffected); only a small
+    # residual varies across pairs.
+    cv = traits.unmodeled_power_cv
+    fixed = lognormal_factor(draw(*fixed_at), cv * 0.9)
+    interaction = lognormal_factor(draw(*pair_at), cv * 0.10)
+    dynamic = power.core_dynamic_w + power.mem_background_w + power.dram_access_w
+    # Temperature/leakage feedback: the static component grows with
+    # die temperature, which grows with total power (engine.thermal).
+    thermal = solve_thermal(
+        spec,
+        dynamic_w=dynamic * fixed * interaction,
+        static_w=power.static_w,
+        ambient_c=ambient_c,
+    )
+
+    kernel_seconds = timing.t_kernel * jitter * cpi
+    total_seconds = (
+        kernel_seconds
+        + timing.t_launch
+        + timing.t_transfer
+        + timing.t_host
+        + overhead_s
+    )
+    return RunRecord(
+        gpu=spec,
+        kernel=kernel,
+        scale=scale,
+        op=op,
+        work=work,
+        cache=cache,
+        timing=timing,
+        power=power,
+        kernel_seconds=kernel_seconds,
+        overhead_seconds=overhead_s,
+        total_seconds=total_seconds,
+        gpu_active_power_w=thermal.power_w,
+        gpu_idle_power_w=idle_w,
+        die_temp_c=thermal.die_c,
+        throttling=thermal.throttling,
+    )
+
+
 class GPUSimulator:
     """A card in the testbed, programmable only through its VBIOS.
 
@@ -154,116 +273,18 @@ class GPUSimulator:
         self._bios = patch_boot_levels(self._bios, self.spec, core, mem)
         self._boot()
 
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-
-    def run_grid(
-        self, cells: "list[tuple[KernelSpec, float, OperatingPoint]]"
-    ) -> list[RunRecord]:
-        """Batch API: evaluate many (kernel, scale, op) cells in one call.
-
-        Unlike :meth:`run`, cells name their operating point explicitly
-        (no VBIOS flash per cell) and stream seeding is vectorized
-        across the grid.  Each returned record is byte-identical to
-        what ``set_clocks`` + ``run`` would produce for the same cell.
-        """
-        from repro.engine.batch import BatchSimulator  # avoid import cycle
-
-        batch = self.__dict__.get("_batch")
-        if batch is None:
-            batch = self.__dict__["_batch"] = BatchSimulator(
-                self.spec, seed=self._seed, ambient_c=self.ambient_c
-            )
-        return batch.run_grid(cells)
-
     def run(self, kernel: KernelSpec, scale: float = 1.0) -> RunRecord:
         """Execute one benchmark run at the current operating point."""
-        op = self._op
+        op, spec, seed = self._op, self.spec, self._seed
         work = kernel.work(scale)
-        cache = simulate_cache(work, self.spec)
-        timing = simulate_timing(work, cache, self.spec, op)
-        power = simulate_power(cache, timing, self.spec, op)
-
-        traits = self.spec.traits
-        jitter_rng = stream(
-            "timing-jitter", self.spec.name, kernel.name, scale, op.key,
-            seed=self._seed,
-        )
-        jitter = lognormal_factor(jitter_rng, traits.timing_jitter_cv)
-
-        # Per-(GPU, benchmark) throughput idiosyncrasy: a fixed CPI effect
-        # (partition camping, replay storms) no counter observes.  Long
-        # streaming workloads average hazards out; small irregular ones
-        # (divergent, uncoalesced) are the unpredictable tail that
-        # dominates the paper's percentage errors.
-        cpi_rng = stream(
-            "cpi-fixed-effect", self.spec.name, kernel.name, seed=self._seed
-        )
-        cpi = lognormal_factor(cpi_rng, _cpi_cv(kernel, traits))
-
-        # One-time driver/context/allocation overhead: benchmark- and
-        # size-specific, frequency-independent, counter-invisible.  The
-        # spread is wide but bounded (a driver never takes 10x longer to
-        # build a context), which is why this dominates the *percentage*
-        # error of short runs while leaving R-squared nearly untouched.
-        overhead_rng = stream(
-            "driver-overhead", self.spec.name, kernel.name, scale,
-            seed=self._seed,
-        )
-        overhead_s = traits.driver_overhead_s * float(
-            overhead_rng.uniform(0.25, 2.75)
-        )
-
-        # Unmodeled power structure, split between a per-(GPU, benchmark)
-        # fixed effect and a per-(GPU, benchmark, pair) interaction —
-        # different operating points excite different data paths.
-        fixed_rng = stream(
-            "power-fixed-effect", self.spec.name, kernel.name, seed=self._seed
-        )
-        pair_rng = stream(
-            "power-pair-effect", self.spec.name, kernel.name, op.key,
-            seed=self._seed,
-        )
-        cv = traits.unmodeled_power_cv
-        # The bulk is a per-benchmark fixed effect (cancels in energy
-        # ratios between pairs, so the Section III characterization is
-        # unaffected); only a small residual varies across pairs.
-        fixed = lognormal_factor(fixed_rng, cv * 0.9)
-        interaction = lognormal_factor(pair_rng, cv * 0.10)
-        dynamic = power.core_dynamic_w + power.mem_background_w + power.dram_access_w
-        # Temperature/leakage feedback: the static component grows with
-        # die temperature, which grows with total power (engine.thermal).
-        thermal = solve_thermal(
-            self.spec,
-            dynamic_w=dynamic * fixed * interaction,
-            static_w=power.static_w,
-            ambient_c=self.ambient_c,
-        )
-        active_power = thermal.power_w
-
-        kernel_seconds = timing.t_kernel * jitter * cpi
-        total_seconds = (
-            kernel_seconds
-            + timing.t_launch
-            + timing.t_transfer
-            + timing.t_host
-            + overhead_s
-        )
-        return RunRecord(
-            gpu=self.spec,
-            kernel=kernel,
-            scale=scale,
-            op=op,
-            work=work,
-            cache=cache,
-            timing=timing,
-            power=power,
-            kernel_seconds=kernel_seconds,
-            overhead_seconds=overhead_s,
-            total_seconds=total_seconds,
-            gpu_active_power_w=active_power,
-            gpu_idle_power_w=idle_gpu_power(self.spec, op),
-            die_temp_c=thermal.die_c,
-            throttling=thermal.throttling,
+        return simulate_run(
+            spec,
+            op,
+            kernel,
+            scale,
+            work,
+            simulate_cache(work, spec),
+            idle_gpu_power(spec, op),
+            lambda *coords: stream(*coords, seed=seed),
+            self.ambient_c,
         )

@@ -1,13 +1,17 @@
 """Fast (batch-path) evaluation of campaign work units.
 
-The scalar path executes each unit under a worker-local telemetry
-context, recording spans and counters.  When the batch is running
-*without* telemetry — every timed bench invocation, every plain
-``sweep.run`` / ``dataset.build`` call — that bookkeeping is pure
-overhead, and the unit's payload is a deterministic function of
-(unit spec, seed).  This module computes exactly that payload through
-the columnar batch layer: vectorized stream seeding and per-cell
-memoization via :func:`~repro.instruments.batch.shared_batch_measurer`.
+A unit has one cell implementation and two evaluation paths.
+``unit.execute()`` is the scalar path: it runs the testbed and
+profiler under a worker-local telemetry context, recording spans and
+counters, and realizes the unit's fault plan.  When the batch runs *without*
+telemetry — every timed bench invocation, every plain ``sweep.run`` /
+``dataset.build`` call — that bookkeeping is pure overhead, and the
+unit's payload is a deterministic function of (unit spec, seed).  This
+module is the columnar path: it computes the same payload from the
+same per-cell code with vectorized stream seeding and per-cell
+memoization (:func:`~repro.instruments.batch.shared_batch_measurer`),
+and only chooses where the measurements and counter totals come from —
+the unit builds its own payload document.
 
 Scope and safety:
 
@@ -15,7 +19,7 @@ Scope and safety:
   are batchable (:func:`is_batchable`) — fault plans are per-attempt
   and stateful, so they keep the scalar retry loop;
 * payload parity with ``unit.execute()`` is byte-exact
-  (tests/test_batch_parity.py asserts it over random grids);
+  (tests/test_batch_parity.py asserts the two paths agree);
 * any exception from the fast path (invalid pair, profile too short,
   ...) is the caller's signal to fall back to the scalar path, which
   reproduces the error with the exact scalar semantics.
@@ -25,20 +29,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.execution.units import (
-    DatasetUnit,
-    SweepUnit,
-    WorkUnit,
-    measurement_to_payload,
-)
+from repro.execution.units import DatasetUnit, SweepUnit, WorkUnit
 from repro.fleet.units import FleetShardUnit
 from repro.instruments.batch import BatchMeasurer, shared_batch_measurer
-
-#: The profiler-failure reason string (mirrors CudaProfiler.profile).
-_PROFILER_REASON = (
-    "CUDA Profiler failed to analyze {name!r} "
-    "(as reported in the paper, Section IV-A)"
-)
+from repro.instruments.profiler import analysis_failure
 
 
 def is_batchable(unit: WorkUnit) -> bool:
@@ -115,24 +109,12 @@ def evaluate_fast(unit: WorkUnit) -> dict[str, Any]:
 def _evaluate_sweep(unit: SweepUnit) -> dict[str, Any]:
     measurer = shared_batch_measurer(unit.gpu, unit.seed)
     op = unit.gpu.operating_point(unit.pair)
-    measurement = measurer.measure(unit.kernel, unit.scale, op)
-    payload = measurement_to_payload(measurement)
-    payload["kind"] = unit.kind
-    return payload
+    return unit.payload(measurer.measure(unit.kernel, unit.scale, op))
 
 
 def _evaluate_dataset(unit: DatasetUnit) -> dict[str, Any]:
     if not unit.kernel.profiler_ok:
-        return {
-            "kind": unit.kind,
-            "gpu": unit.gpu.name,
-            "benchmark": unit.kernel.name,
-            "scale": float(unit.scale),
-            "profiled": False,
-            "reason": _PROFILER_REASON.format(name=unit.kernel.name),
-            "counters": {},
-            "measurements": [],
-        }
+        return unit.unprofiled_payload(analysis_failure(unit.kernel))
     measurer = shared_batch_measurer(unit.gpu, unit.seed)
     totals = measurer.counter_totals(
         unit.kernel,
@@ -142,24 +124,8 @@ def _evaluate_dataset(unit: DatasetUnit) -> dict[str, Any]:
         noise_scale=unit.noise_scale,
         bias_cv=unit.bias_cv,
     )
-    measurements = []
-    for op in unit._operating_points():
-        m = measurer.measure(unit.kernel, unit.scale, op)
-        measurements.append(
-            {
-                "pair": op.key,
-                "exec_seconds": float(m.exec_seconds),
-                "avg_power_w": float(m.avg_power_w),
-                "energy_j": float(m.energy_j),
-                "degraded": bool(m.degraded),
-            }
-        )
-    return {
-        "kind": unit.kind,
-        "gpu": unit.gpu.name,
-        "benchmark": unit.kernel.name,
-        "scale": float(unit.scale),
-        "profiled": True,
-        "counters": {name: float(v) for name, v in totals.items()},
-        "measurements": measurements,
-    }
+    measurements = [
+        measurer.measure(unit.kernel, unit.scale, op)
+        for op in unit._operating_points()
+    ]
+    return unit.payload(totals, measurements)

@@ -412,15 +412,22 @@ def _execute_with_retry(
     )
 
 
-def _execute_fast(unit: WorkUnit, retries: int, backoff_s: float) -> _UnitOutcome:
+def _execute_fast(
+    unit: WorkUnit,
+    retries: int,
+    backoff_s: float,
+    unit_timeout_s: float | None = None,
+    max_backoff_s: float = DEFAULT_MAX_BACKOFF_S,
+) -> _UnitOutcome:
     """Run one batchable unit through the batch layer, in-process.
 
     No telemetry is recorded (the fast path only engages when the batch
     runs without telemetry), so the outcome carries no spans and no
     metrics snapshot.  Batchable units are pure fault-free simulation —
     they cannot hang — so the fast path skips the watchdog.  Any
-    fast-path error falls back to the scalar retry loop, which
-    reproduces it with the exact scalar semantics.
+    fast-path error falls back to the scalar retry loop under the full
+    retry configuration, which reproduces it with the exact scalar
+    semantics.  Top-level so pool workers call it too.
     """
     from repro.execution.batch import evaluate_fast
 
@@ -428,7 +435,9 @@ def _execute_fast(unit: WorkUnit, retries: int, backoff_s: float) -> _UnitOutcom
     try:
         payload = evaluate_fast(unit)
     except Exception:
-        return _execute_with_retry(unit, retries, backoff_s)
+        return _execute_with_retry(
+            unit, retries, backoff_s, unit_timeout_s, max_backoff_s
+        )
     return _UnitOutcome(
         payload=payload,
         attempts=1,
@@ -817,16 +826,14 @@ def run_units(
                     f"shutdown requested with {len(unit_list) - done} "
                     f"units unsettled; resume to continue"
                 )
-            if index in fast_flags:
-                outcome = _execute_fast(unit, config.retries, config.backoff_s)
-            else:
-                outcome = _execute_with_retry(
-                    unit,
-                    config.retries,
-                    config.backoff_s,
-                    config.unit_timeout_s,
-                    config.max_backoff_s,
-                )
+            execute = _execute_fast if index in fast_flags else _execute_with_retry
+            outcome = execute(
+                unit,
+                config.retries,
+                config.backoff_s,
+                config.unit_timeout_s,
+                config.max_backoff_s,
+            )
             if journal is not None:
                 _journal_outcome(journal, keys[index], outcome)
                 metrics.inc("journal.appends")

@@ -127,31 +127,16 @@ def _run_chunk(
     are persisted worker-side and the outcome flagged ``cached`` so the
     parent skips its own serialized write.
     """
-    from repro.execution.batch import evaluate_fast
-    from repro.execution.engine import _execute_with_retry, _UnitOutcome
+    from repro.execution.engine import _execute_fast, _execute_with_retry
 
     assert _WORKER_UNITS is not None, "pool initializer did not run"
     cache = _worker_cache(cache_dir) if cache_dir is not None else None
     results = []
     for pos, fast, key in zip(positions, fast_flags, keys):
-        unit = _WORKER_UNITS[pos]
-        outcome = None
-        if fast:
-            start = time.perf_counter()
-            try:
-                payload = evaluate_fast(unit)
-            except Exception:
-                outcome = None  # scalar fallback reproduces the error
-            else:
-                outcome = _UnitOutcome(
-                    payload=payload,
-                    attempts=1,
-                    duration_s=time.perf_counter() - start,
-                )
-        if outcome is None:
-            outcome = _execute_with_retry(
-                unit, retries, backoff_s, unit_timeout_s, max_backoff_s
-            )
+        execute = _execute_fast if fast else _execute_with_retry
+        outcome = execute(
+            _WORKER_UNITS[pos], retries, backoff_s, unit_timeout_s, max_backoff_s
+        )
         if cache is not None and key is not None and outcome.payload is not None:
             cache.put(key, outcome.payload)
             outcome = replace(outcome, cached=True)

@@ -212,7 +212,10 @@ class SweepUnit(WorkUnit):
         testbed = shared_testbed(self.gpu, seed=self.seed, injector=injector)
         op = self.gpu.operating_point(self.pair)
         testbed.set_clocks(op.core_level, op.mem_level)
-        measurement = testbed.measure(self.kernel, self.scale)
+        return self.payload(testbed.measure(self.kernel, self.scale))
+
+    def payload(self, measurement: Measurement) -> dict[str, Any]:
+        """The unit's result document for its measurement."""
         payload = measurement_to_payload(measurement)
         payload["kind"] = self.kind
         return payload
@@ -293,29 +296,17 @@ class DatasetUnit(WorkUnit):
                 totals = profiler.profile(testbed.sim, self.kernel, self.scale)
         except ProfilerError as exc:
             telemetry.metrics.inc("profiler.failures")
-            return {
-                "kind": self.kind,
-                "gpu": self.gpu.name,
-                "benchmark": self.kernel.name,
-                "scale": float(self.scale),
-                "profiled": False,
-                "reason": str(exc),
-                "counters": {},
-                "measurements": [],
-            }
+            return self.unprofiled_payload(str(exc))
         measurements = []
         for op in self._operating_points():
             testbed.set_clocks(op.core_level, op.mem_level)
-            m = testbed.measure(self.kernel, self.scale)
-            measurements.append(
-                {
-                    "pair": op.key,
-                    "exec_seconds": float(m.exec_seconds),
-                    "avg_power_w": float(m.avg_power_w),
-                    "energy_j": float(m.energy_j),
-                    "degraded": bool(m.degraded),
-                }
-            )
+            measurements.append(testbed.measure(self.kernel, self.scale))
+        return self.payload(totals, measurements)
+
+    def payload(
+        self, totals: dict[str, float], measurements: "list[Measurement]"
+    ) -> dict[str, Any]:
+        """The unit's result document: counter totals and one row per pair."""
         return {
             "kind": self.kind,
             "gpu": self.gpu.name,
@@ -323,7 +314,29 @@ class DatasetUnit(WorkUnit):
             "scale": float(self.scale),
             "profiled": True,
             "counters": {name: float(v) for name, v in totals.items()},
-            "measurements": measurements,
+            "measurements": [
+                {
+                    "pair": m.op.key,
+                    "exec_seconds": float(m.exec_seconds),
+                    "avg_power_w": float(m.avg_power_w),
+                    "energy_j": float(m.energy_j),
+                    "degraded": bool(m.degraded),
+                }
+                for m in measurements
+            ],
+        }
+
+    def unprofiled_payload(self, reason: str) -> dict[str, Any]:
+        """The result document of a benchmark the profiler failed on."""
+        return {
+            "kind": self.kind,
+            "gpu": self.gpu.name,
+            "benchmark": self.kernel.name,
+            "scale": float(self.scale),
+            "profiled": False,
+            "reason": reason,
+            "counters": {},
+            "measurements": [],
         }
 
     def __str__(self) -> str:

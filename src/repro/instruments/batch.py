@@ -1,17 +1,19 @@
 """Batch measurement: whole (benchmark x frequency-pair) grids per call.
 
-:class:`BatchMeasurer` is the instruments-layer counterpart of
-:class:`~repro.engine.batch.BatchSimulator`: it produces the exact
-:class:`~repro.instruments.testbed.Measurement` a fault-free
-:class:`~repro.instruments.testbed.Testbed` produces for each grid
-cell, and the exact counter totals a
-:class:`~repro.instruments.profiler.CudaProfiler` reports — but with
-stream seeding vectorized across the grid and every cell memoized, so
-warm grids cost dictionary lookups.
+:class:`BatchMeasurer` evaluates the instruments' per-cell code
+columnarly.  A grid cell's measurement is the window
+:class:`Testbed` records (``repeats_for``, ``wall_profile``,
+``window_stream_coords``, ``host_factor``, ``Measurement.of``) and its
+counter totals are
+:func:`~repro.instruments.profiler.counter_totals`, as for
+:class:`~repro.instruments.profiler.CudaProfiler` — but with stream
+seeding vectorized across the grid and every cell memoized, so warm
+grids cost dictionary lookups.
 
 Fault injection is deliberately out of scope: injected faults are
 per-attempt, stateful, and rare, so faulty units keep the scalar path
-(the execution layer routes them there).
+(the execution layer routes them there), which adds the meter quorum,
+spans and counters around the same per-cell code.
 """
 
 from __future__ import annotations
@@ -19,21 +21,22 @@ from __future__ import annotations
 from repro.arch.dvfs import OperatingPoint
 from repro.arch.specs import GPUSpec
 from repro.engine.batch import BatchSimulator, content_fingerprint
-from repro.engine.counters import counter_set
-from repro.engine.noise import lognormal_factor
 from repro.instruments.host import HostSystem
 from repro.instruments.powermeter import PowerMeter
-from repro.instruments.profiler import (
-    EXTRAPOLATION_BIAS_CV,
-    OBSERVATION_NOISE_SCALE,
+from repro.instruments.profiler import counter_totals, profile_stream_coords
+from repro.instruments.testbed import (
+    Measurement,
+    host_factor,
+    repeats_for,
+    wall_profile,
+    window_stream_coords,
 )
-from repro.instruments.testbed import Measurement, repeats_for, wall_profile
 from repro.kernels.profile import KernelSpec
 from repro.rng import StreamBank
 
 
 class BatchMeasurer:
-    """Grid-shaped, memoizing counterpart of a fault-free testbed.
+    """Grid-shaped, memoizing evaluator of a fault-free testbed's cells.
 
     Parameters
     ----------
@@ -76,13 +79,10 @@ class BatchMeasurer:
     def prepare(self, cells: "list[tuple[KernelSpec, float, OperatingPoint]]") -> None:
         """Vector-seed every stream the given measurement cells draw."""
         self.sim.prepare(cells)
-        g = self.gpu.name
         coords: list[tuple] = []
         for kernel, scale, op in cells:
-            if self._measure_key(kernel, scale, op) in self._measurements:
-                continue
-            coords.append(("host-power", g, kernel.name))
-            coords.append(("meter", g, kernel.name, scale, op.key))
+            if self._measure_key(kernel, scale, op) not in self._measurements:
+                coords.extend(window_stream_coords(self.gpu, kernel, scale, op))
         self.sim.streams.prepare(coords)
 
     def prepare_profiles(
@@ -91,19 +91,11 @@ class BatchMeasurer:
         profiler_seed: int | None = None,
     ) -> None:
         """Vector-seed the profiler streams for (kernel, scale) cells."""
-        bank = self._profiler_bank(profiler_seed)
-        counters = counter_set(self.gpu.traits.counter_set)
-        g = self.gpu.name
         coords: list[tuple] = []
         for kernel, scale in cells:
-            if not kernel.profiler_ok:
-                continue
-            coords.append(("counter-bench-scale", g, kernel.name))
-            coords.extend(
-                ("counter-noise", g, kernel.name, scale, c.name)
-                for c in counters
-            )
-        bank.prepare(coords)
+            if kernel.profiler_ok:
+                coords.extend(profile_stream_coords(self.gpu, kernel, scale))
+        self._profiler_bank(profiler_seed).prepare(coords)
 
     def _profiler_bank(self, profiler_seed: int | None) -> StreamBank:
         bank = self._profiler_banks.get(profiler_seed)
@@ -112,7 +104,7 @@ class BatchMeasurer:
         return bank
 
     # ------------------------------------------------------------------
-    # measurement (mirrors Testbed.measure, fault-free path)
+    # measurement (the meter window of Testbed.measure, fault-free)
     # ------------------------------------------------------------------
 
     def _measure_key(
@@ -142,37 +134,18 @@ class BatchMeasurer:
     ) -> Measurement:
         record = self.sim.record(kernel, scale, op)
         repeats = repeats_for(record)
-        durations, watts = wall_profile(
-            record, self.host, self._host_factor(kernel), repeats
-        )
-        rng = self.sim.streams.stream(
-            "meter", self.gpu.name, kernel.name, scale, op.key
-        )
-        trace = self.meter.record(durations, watts, rng)
-        energy_j = trace.energy_j / repeats
-        return Measurement(
-            gpu=self.gpu,
-            kernel=kernel,
-            scale=scale,
-            op=record.op,
-            exec_seconds=record.total_seconds,
-            avg_power_w=trace.average_power_w,
-            energy_j=energy_j,
-            repeats=repeats,
-            trace=trace,
-            degraded=False,
-        )
-
-    def _host_factor(self, kernel: KernelSpec) -> float:
+        host_at, meter_at = window_stream_coords(self.gpu, kernel, scale, op)
+        streams = self.sim.streams
         key = content_fingerprint(kernel)
         factor = self._host_factors.get(key)
         if factor is None:
-            host_rng = self.sim.streams.stream("host-power", self.gpu.name, kernel.name)
-            factor = self._host_factors[key] = lognormal_factor(host_rng, 0.12)
-        return factor
+            factor = self._host_factors[key] = host_factor(streams.stream(*host_at))
+        profile = wall_profile(record, self.host, factor, repeats)
+        trace = self.meter.record(*profile, streams.stream(*meter_at))
+        return Measurement.of(record, trace, repeats)
 
     # ------------------------------------------------------------------
-    # profiler (mirrors CudaProfiler.profile, fault-free path)
+    # profiler (the counter totals of CudaProfiler.profile, fault-free)
     # ------------------------------------------------------------------
 
     def counter_totals(
@@ -216,26 +189,15 @@ class BatchMeasurer:
         noise_scale: float | None,
         bias_cv: float | None,
     ) -> dict[str, float]:
-        spec = self.gpu
-        record = self.sim.record(kernel, scale, op)
-        ctx = record.context
-        counter_set_name = spec.traits.counter_set
-        if noise_scale is None:
-            noise_scale = OBSERVATION_NOISE_SCALE[counter_set_name]
-        if bias_cv is None:
-            bias_cv = EXTRAPOLATION_BIAS_CV[counter_set_name]
-        bank = self._profiler_bank(profiler_seed)
-        bias_rng = bank.stream("counter-bench-scale", spec.name, kernel.name)
-        bias = lognormal_factor(bias_rng, bias_cv)
-        values: dict[str, float] = {}
-        for counter in counter_set(counter_set_name):
-            rng = bank.stream(
-                "counter-noise", spec.name, kernel.name, scale, counter.name
-            )
-            value = counter.evaluate(ctx)
-            cv = counter.noise_cv * noise_scale
-            values[counter.name] = value * bias * lognormal_factor(rng, cv)
-        return values
+        return counter_totals(
+            self.gpu,
+            kernel,
+            scale,
+            self.sim.record(kernel, scale, op),
+            self._profiler_bank(profiler_seed).stream,
+            noise_scale,
+            bias_cv,
+        )
 
 
 #: Process-local shared measurers, keyed by (card content, seed).

@@ -13,9 +13,10 @@ the paper depends on:
 
 from __future__ import annotations
 
+from repro.arch.specs import GPUSpec
 from repro.engine.counters import Counter, counter_set
 from repro.engine.noise import lognormal_factor
-from repro.engine.simulator import GPUSimulator, RunRecord
+from repro.engine.simulator import Draw, GPUSimulator, RunRecord
 from repro.errors import ProfilerError
 from repro.kernels.profile import KernelSpec
 from repro.rng import stream
@@ -44,6 +45,62 @@ EXTRAPOLATION_BIAS_CV: dict[str, float] = {
     "kepler": 0.05,
     "gcn": 0.08,
 }
+
+
+def analysis_failure(kernel: KernelSpec) -> str:
+    """Why the profiler cannot analyze a ``profiler_ok=False`` benchmark."""
+    return (
+        f"CUDA Profiler failed to analyze {kernel.name!r} "
+        f"(as reported in the paper, Section IV-A)"
+    )
+
+
+def profile_stream_coords(
+    spec: GPUSpec, kernel: KernelSpec, scale: float
+) -> list[tuple]:
+    """The profiler's noise-stream coordinates, in draw order.
+
+    The benchmark's extrapolation-bias stream comes first, then one
+    observation-noise stream per counter of the card's counter set.
+    """
+    g, k = spec.name, kernel.name
+    return [("counter-bench-scale", g, k)] + [
+        ("counter-noise", g, k, scale, counter.name)
+        for counter in counter_set(spec.traits.counter_set)
+    ]
+
+
+def counter_totals(
+    spec: GPUSpec,
+    kernel: KernelSpec,
+    scale: float,
+    record: RunRecord,
+    draw: Draw,
+    noise_scale: float | None = None,
+    bias_cv: float | None = None,
+) -> dict[str, float]:
+    """Observed counter totals of one profiled run.
+
+    Every counter of the card's set carries the benchmark's common
+    extrapolation bias and its own observation noise.  ``None``
+    overrides resolve to the generation's defaults
+    (:data:`OBSERVATION_NOISE_SCALE`, :data:`EXTRAPOLATION_BIAS_CV`);
+    ``draw`` supplies the generators of :func:`profile_stream_coords`.
+    """
+    counter_set_name = spec.traits.counter_set
+    if noise_scale is None:
+        noise_scale = OBSERVATION_NOISE_SCALE[counter_set_name]
+    if bias_cv is None:
+        bias_cv = EXTRAPOLATION_BIAS_CV[counter_set_name]
+    bias_at, *noise_at = profile_stream_coords(spec, kernel, scale)
+    bias = lognormal_factor(draw(*bias_at), bias_cv)
+    ctx = record.context
+    values: dict[str, float] = {}
+    for counter, coords in zip(counter_set(counter_set_name), noise_at):
+        value = counter.evaluate(ctx)
+        cv = counter.noise_cv * noise_scale
+        values[counter.name] = value * bias * lognormal_factor(draw(*coords), cv)
+    return values
 
 
 class CudaProfiler:
@@ -112,40 +169,16 @@ class CudaProfiler:
             For the benchmarks the real tool failed to analyze.
         """
         if not kernel.profiler_ok:
-            raise ProfilerError(
-                f"CUDA Profiler failed to analyze {kernel.name!r} "
-                f"(as reported in the paper, Section IV-A)"
-            )
+            raise ProfilerError(analysis_failure(kernel))
         if self._injector is not None:
             self._injector.check_profiler(sim.spec.name, kernel.name)
-        record: RunRecord = sim.run(kernel, scale)
-        ctx = record.context
-        counter_set_name = sim.spec.traits.counter_set
-        noise_scale = (
-            self._noise_scale
-            if self._noise_scale is not None
-            else OBSERVATION_NOISE_SCALE[counter_set_name]
+        seed = self._seed
+        return counter_totals(
+            sim.spec,
+            kernel,
+            scale,
+            sim.run(kernel, scale),
+            lambda *coords: stream(*coords, seed=seed),
+            self._noise_scale,
+            self._bias_cv,
         )
-        bias_cv = (
-            self._bias_cv
-            if self._bias_cv is not None
-            else EXTRAPOLATION_BIAS_CV[counter_set_name]
-        )
-        bias_rng = stream(
-            "counter-bench-scale", sim.spec.name, kernel.name, seed=self._seed
-        )
-        bias = lognormal_factor(bias_rng, bias_cv)
-        values: dict[str, float] = {}
-        for counter in self.counters_for(sim):
-            rng = stream(
-                "counter-noise",
-                sim.spec.name,
-                kernel.name,
-                scale,
-                counter.name,
-                seed=self._seed,
-            )
-            value = counter.evaluate(ctx)
-            cv = counter.noise_cv * noise_scale
-            values[counter.name] = value * bias * lognormal_factor(rng, cv)
-        return values

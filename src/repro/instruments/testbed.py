@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.arch.dvfs import ClockLevel, OperatingPoint, coerce_levels, pair_key
 from repro.arch.specs import GPUSpec
+from repro.engine.batch import content_fingerprint
 from repro.engine.phases import busy_phase_profile
 from repro.engine.simulator import GPUSimulator, RunRecord
 from repro.errors import MeasurementError
@@ -28,7 +29,7 @@ from repro.instruments.host import HostSystem
 from repro.instruments.powermeter import PowerMeter, PowerTrace
 from repro.engine.noise import lognormal_factor
 from repro.kernels.profile import KernelSpec
-from repro.rng import stable_hash, stream
+from repro.rng import stream
 from repro.telemetry.runtime import current_telemetry
 
 #: Minimum GPU-busy window the paper enforces before measuring.
@@ -75,6 +76,25 @@ def wall_profile(
     )
 
 
+def window_stream_coords(
+    gpu: GPUSpec, kernel: KernelSpec, scale: float, op: OperatingPoint
+) -> tuple[tuple, tuple]:
+    """Noise coordinates of one meter window: (host power, first meter attempt)."""
+    return (
+        ("host-power", gpu.name, kernel.name),
+        ("meter", gpu.name, kernel.name, scale, op.key),
+    )
+
+
+def host_factor(rng: np.random.Generator) -> float:
+    """Draw a benchmark's host-power factor: unit median, CV 0.12.
+
+    ``rng`` is the benchmark's host-power stream; the factor scales
+    host-side power in :func:`wall_profile`.
+    """
+    return lognormal_factor(rng, 0.12)
+
+
 @dataclass(frozen=True)
 class Measurement:
     """One (GPU, benchmark, size, operating point) measurement result."""
@@ -96,6 +116,29 @@ class Measurement:
     #: Whether the meter's sample quorum could not be met even after
     #: re-measurement (fault-injected dropout; never True without faults).
     degraded: bool = False
+
+    @classmethod
+    def of(
+        cls,
+        record: RunRecord,
+        trace: PowerTrace,
+        repeats: int,
+        degraded: bool = False,
+    ) -> "Measurement":
+        """The measurement a meter window of ``repeats`` runs yields."""
+        return cls(
+            gpu=record.gpu,
+            kernel=record.kernel,
+            scale=record.scale,
+            op=record.op,
+            exec_seconds=record.total_seconds,
+            avg_power_w=trace.average_power_w,
+            # Per-run energy: the window holds `repeats` identical runs.
+            energy_j=trace.energy_j / repeats,
+            repeats=repeats,
+            trace=trace,
+            degraded=degraded,
+        )
 
     @property
     def power_efficiency(self) -> float:
@@ -214,11 +257,10 @@ class Testbed:
         ) as window_span:
             record: RunRecord = self.sim.run(kernel, scale)
             repeats = repeats_for(record)
-            host_rng = stream("host-power", self.gpu.name, kernel.name, seed=self._seed)
-            profile = wall_profile(
-                record, self.host, lognormal_factor(host_rng, 0.12), repeats
-            )
-            trace = self._record_with_quorum(record, kernel, scale, profile)
+            host_at, meter_at = window_stream_coords(self.gpu, kernel, scale, record.op)
+            factor = host_factor(stream(*host_at, seed=self._seed))
+            profile = wall_profile(record, self.host, factor, repeats)
+            trace = self._record_with_quorum(record, kernel, scale, meter_at, profile)
             window_span.attrs["pair"] = record.op.key
             window_span.attrs["repeats"] = repeats
             telemetry.metrics.inc("meter.windows")
@@ -237,57 +279,14 @@ class Testbed:
                 f"{record.op.key}: {trace.num_valid} valid samples of "
                 f"{trace.num_samples} (need {self.injector.plan.quorum})"
             )
-        # Per-run energy: the window holds `repeats` identical runs.
-        energy_j = trace.energy_j / repeats
-        return Measurement(
-            gpu=self.gpu,
-            kernel=kernel,
-            scale=scale,
-            op=record.op,
-            exec_seconds=record.total_seconds,
-            avg_power_w=trace.average_power_w,
-            energy_j=energy_j,
-            repeats=repeats,
-            trace=trace,
-            degraded=degraded,
-        )
-
-    def measure_grid(
-        self, cells: "list[tuple[KernelSpec, float, OperatingPoint]]"
-    ) -> list[Measurement]:
-        """Batch API: measure many (kernel, scale, op) cells in one call.
-
-        Fault-free testbeds evaluate the grid columnarly (vectorized
-        stream seeding, memoized cells; no spans or counters are
-        recorded) with results byte-identical to ``set_clocks`` +
-        :meth:`measure` per cell.  Testbeds carrying a fault injector
-        keep the scalar protocol — injected faults are per-attempt and
-        stateful, so they cannot be batched.
-        """
-        if self.injector is not None:
-            out = []
-            for kernel, scale, op in cells:
-                self.set_clocks(op.core_level, op.mem_level)
-                out.append(self.measure(kernel, scale))
-            return out
-        from repro.instruments.batch import BatchMeasurer  # import cycle
-
-        batch = self.__dict__.get("_batch")
-        if batch is None:
-            batch = self.__dict__["_batch"] = BatchMeasurer(
-                self.gpu,
-                host=self.host,
-                meter=self.meter,
-                seed=self._seed,
-                ambient_c=self.sim.ambient_c,
-            )
-        return batch.measure_grid(cells)
+        return Measurement.of(record, trace, repeats, degraded)
 
     def _record_with_quorum(
         self,
         record: RunRecord,
         kernel: KernelSpec,
         scale: float,
+        meter_at: tuple,
         profile: tuple[np.ndarray, np.ndarray],
     ) -> PowerTrace:
         """Record the meter trace, re-measuring until the quorum holds.
@@ -305,9 +304,9 @@ class Testbed:
             quorum_retries = self.injector.plan.quorum_retries
         trace: PowerTrace | None = None
         for measure_attempt in range(quorum_retries + 1):
-            coords = ["meter", self.gpu.name, kernel.name, scale, record.op.key]
+            coords = meter_at
             if measure_attempt > 0:
-                coords += ["re-measure", measure_attempt]
+                coords += ("re-measure", measure_attempt)
                 current_telemetry().metrics.inc("meter.re_measurements")
             rng = stream(*coords, seed=self._seed)
             candidate = self.meter.record(*profile, rng)
@@ -346,6 +345,9 @@ class Testbed:
 #: clocks, which every work unit sets explicitly.
 _SHARED_TESTBEDS: dict[tuple[int, int | None, int | None], Testbed] = {}
 
+#: Cap on the shared-testbed memo (tests churn seeds; campaigns don't).
+_SHARED_CAP = 64
+
 
 def shared_testbed(gpu: GPUSpec, seed: int | None = None, injector=None) -> Testbed:
     """Return this process's memoized default testbed for a card.
@@ -357,11 +359,12 @@ def shared_testbed(gpu: GPUSpec, seed: int | None = None, injector=None) -> Test
     degrade gracefully instead of aborting the campaign.
     """
     fault_key = injector.fingerprint() if injector is not None else None
-    key = (stable_hash(repr(gpu)), seed, fault_key)
+    key = (content_fingerprint(gpu), seed, fault_key)
     testbed = _SHARED_TESTBEDS.get(key)
     if testbed is None:
-        testbed = Testbed(
+        if len(_SHARED_TESTBEDS) >= _SHARED_CAP:
+            _SHARED_TESTBEDS.clear()
+        testbed = _SHARED_TESTBEDS[key] = Testbed(
             gpu, seed=seed, injector=injector, strict_quorum=injector is None
         )
-        _SHARED_TESTBEDS[key] = testbed
     return testbed

@@ -1,10 +1,13 @@
-"""Batch-path parity: the columnar fast path must be byte-identical.
+"""Path parity: the columnar and scalar paths must agree bit for bit.
 
-Three layers are checked against their scalar counterparts:
+Each cell has one implementation (``simulate_run``, the meter-window
+helpers, ``counter_totals``) under two paths that differ in where
+their noise generators come from and whether they memoize.  Checked:
 
 * ``repro.rng.StreamBank`` vs ``repro.rng.stream`` (bit-equal draws),
-* ``GPUSimulator.run_grid`` / ``Testbed.measure_grid`` vs the scalar
-  ``set_clocks`` + ``run`` / ``measure`` protocol,
+* ``BatchSimulator.run_grid`` / ``BatchMeasurer.measure_grid`` vs the
+  scalar ``set_clocks`` + ``run`` / ``measure`` protocol, and that a
+  prepared grid evaluates without seeding any stream it did not prepare,
 * ``evaluate_fast`` vs ``WorkUnit.execute`` payloads — including a
   hypothesis sweep over random synthetic-kernel grids, because payload
   equality must hold for *any* workload, not just the curated 37.
@@ -17,11 +20,14 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.arch.specs import all_gpus, get_gpu
+from repro.engine.batch import BatchSimulator
+from repro.engine.simulator import GPUSimulator
 from repro.execution.batch import evaluate_fast, is_batchable, prepare_units
 from repro.execution.units import DatasetUnit, SweepUnit, sweep_units
+from repro.instruments.batch import BatchMeasurer
 from repro.instruments.testbed import Testbed
 from repro.kernels.suites import all_benchmarks, get_benchmark
 from repro.kernels.synthetic import generate_kernel
@@ -76,11 +82,10 @@ class TestStreamBank:
         )
 
 
-class TestGridShims:
-    def test_simulator_run_grid_matches_scalar_runs(self):
+class TestGridParity:
+    @pytest.mark.parametrize("ambient_c", [25.0, 35.0])
+    def test_batch_simulator_run_grid_matches_scalar_runs(self, ambient_c):
         gpu = get_gpu("GTX 480")
-        from repro.engine.simulator import GPUSimulator
-
         kernels = [get_benchmark("kmeans"), get_benchmark("hotspot")]
         cells = [
             (kernel, scale, op)
@@ -88,13 +93,24 @@ class TestGridShims:
             for scale in (0.25, 1.0)
             for op in gpu.operating_points()[:3]
         ]
-        batch = GPUSimulator(gpu).run_grid(cells)
-        scalar_sim = GPUSimulator(gpu)
+        batch = BatchSimulator(gpu, ambient_c=ambient_c).run_grid(cells)
+        scalar_sim = GPUSimulator(gpu, ambient_c=ambient_c)
         for (kernel, scale, op), record in zip(cells, batch):
             scalar_sim.set_clocks(op.core_level, op.mem_level)
             assert scalar_sim.run(kernel, scale) == record
 
-    def test_testbed_measure_grid_matches_scalar_protocol(self):
+    def test_ambient_temperature_changes_the_record(self):
+        gpu = get_gpu("GTX 480")
+        cell = (get_benchmark("kmeans"), 1.0, gpu.operating_point("H-H"))
+        cool, hot = (
+            BatchSimulator(gpu, ambient_c=c).run_grid([cell])[0]
+            for c in (25.0, 35.0)
+        )
+        assert hot.die_temp_c > cool.die_temp_c
+        assert hot.gpu_active_power_w > cool.gpu_active_power_w
+
+    @pytest.mark.parametrize("ambient_c", [25.0, 35.0])
+    def test_batch_measurer_measure_grid_matches_scalar_protocol(self, ambient_c):
         gpu = get_gpu("GTX 460")
         # nn at 0.25 repeats twice; hotspot and gaussian at 0.05 repeat 6
         # and 11 times.  All three open each run with a host phase.
@@ -103,8 +119,8 @@ class TestGridShims:
             for name, scale in (("nn", 0.25), ("hotspot", 0.05), ("gaussian", 0.05))
             for op in gpu.operating_points()
         ]
-        batch = Testbed(gpu).measure_grid(cells)
-        scalar_bed = Testbed(gpu)
+        batch = BatchMeasurer(gpu, ambient_c=ambient_c).measure_grid(cells)
+        scalar_bed = Testbed(gpu, ambient_c=ambient_c)
         idle_and_repeated = 0
         for (kernel, scale, op), m in zip(cells, batch):
             scalar_bed.set_clocks(op.core_level, op.mem_level)
@@ -117,6 +133,30 @@ class TestGridShims:
             record = scalar_bed.sim.run(kernel, scale)
             idle_and_repeated += record.idle_seconds > 0 and m.repeats > 1
         assert idle_and_repeated >= len(cells) // 2
+
+    @pytest.mark.parametrize("seed", [None, 987654321])
+    def test_prepared_cells_seed_no_new_streams(self, seed):
+        gpu = get_gpu("GTX 680")
+        kernels = [get_benchmark("kmeans"), get_benchmark("bfs"), generate_kernel(3)]
+        cells = [
+            (kernel, scale, op)
+            for kernel in kernels
+            for scale in (0.2, 1.0)
+            for op in gpu.operating_points()
+        ]
+        profiled = [(kernel, scale) for kernel in kernels for scale in (0.2, 1.0)]
+        measurer = BatchMeasurer(gpu, seed=seed)
+        measurer.prepare(cells)
+        measurer.prepare_profiles(profiled, profiler_seed=31337)
+        banks = [measurer.sim.streams, measurer._profiler_bank(31337)]
+        seeded = [len(bank._words) for bank in banks]
+        for kernel, scale, op in cells:
+            measurer.measure(kernel, scale, op)
+        hh = gpu.operating_point("H-H")
+        for kernel, scale in profiled:
+            if kernel.profiler_ok:
+                measurer.counter_totals(kernel, scale, hh, profiler_seed=31337)
+        assert [len(bank._words) for bank in banks] == seeded
 
 
 def _payloads_equal(scalar, fast) -> bool:
@@ -179,10 +219,35 @@ class TestUnitParity:
 
     @settings(max_examples=8, deadline=None)
     @given(
-        gpu_name=gpu_names, index=kernel_indices, scale=scales, seed=seeds
+        gpu_name=gpu_names,
+        index=kernel_indices,
+        scale=scales,
+        seed=seeds,
+        profiler_seed=seeds,
+        noise_scale=st.sampled_from([None, 0.0, 2.0]),
+        bias_cv=st.sampled_from([None, 0.0, 0.3]),
+    )
+    # Pinned: a profiler seeded apart from the testbed, with overrides.
+    @example(
+        gpu_name="GTX 480",
+        index=3,
+        scale=0.5,
+        seed=0,
+        profiler_seed=987654321,
+        noise_scale=4.0,
+        bias_cv=0.3,
+    )
+    @example(
+        gpu_name="GTX 680",
+        index=7,
+        scale=1.0,
+        seed=None,
+        profiler_seed=31337,
+        noise_scale=0.0,
+        bias_cv=0.0,
     )
     def test_random_dataset_units_byte_identical(
-        self, gpu_name, index, scale, seed
+        self, gpu_name, index, scale, seed, profiler_seed, noise_scale, bias_cv
     ):
         gpu = get_gpu(gpu_name)
         unit = DatasetUnit(
@@ -190,7 +255,9 @@ class TestUnitParity:
             kernel=generate_kernel(index),
             seed=seed,
             scale=scale,
-            profiler_seed=seed,
+            profiler_seed=profiler_seed,
+            noise_scale=noise_scale,
+            bias_cv=bias_cv,
         )
         prepare_units([unit])
         assert _payloads_equal(unit.execute(), evaluate_fast(unit))

@@ -231,6 +231,30 @@ class TestRetry:
         with pytest.raises(ExecutionError, match="3 attempts"):
             run_units([unit], ExecutionConfig(retries=2, backoff_s=0.0))
 
+    def test_fast_path_fallback_keeps_the_retry_config(self, monkeypatch):
+        import repro.execution.batch as batch
+        import repro.execution.engine as engine
+
+        def unavailable(unit):
+            raise RuntimeError("fast path unavailable")
+
+        real = engine._execute_with_retry
+        seen = []
+
+        def spy(unit, *config):
+            seen.append(config)
+            return real(unit, *config)
+
+        monkeypatch.setattr(batch, "evaluate_fast", unavailable)
+        monkeypatch.setattr(engine, "_execute_with_retry", spy)
+        units = small_units()[:2]
+        config = ExecutionConfig(
+            retries=2, backoff_s=0.0, unit_timeout_s=30.0, max_backoff_s=1.5
+        )
+        outcome = run_units(units, config)
+        assert seen == [(2, 0.0, 30.0, 1.5)] * len(units)
+        assert outcome.payloads == run_units(units).payloads
+
 
 class TestStats:
     def test_merge_accumulates(self):

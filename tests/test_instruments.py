@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.instruments.testbed import (
     MIN_MEASURE_WINDOW_S,
     Testbed,
     repeats_for,
+    shared_testbed,
     wall_profile,
 )
 from repro.kernels.suites import get_benchmark
@@ -225,3 +228,16 @@ class TestTestbedProtocol:
         rec = tb.sim.run(get_benchmark("backprop"), 1.0)
         dc_floor = tb.host.idle_power_w + rec.gpu_active_power_w
         assert m.avg_power_w < dc_floor / tb.host.psu_efficiency * 1.05
+
+    def test_shared_testbed_memo_is_bounded_and_keyed_by_content(self, gtx680):
+        from repro.instruments import testbed as testbed_mod
+
+        first = shared_testbed(gtx680, seed=1)
+        assert shared_testbed(gtx680, seed=1) is first
+        # An equal card built separately is the same key.
+        assert shared_testbed(dataclasses.replace(gtx680), seed=1) is first
+        for seed in range(2 * testbed_mod._SHARED_CAP + 1):
+            shared_testbed(gtx680, seed=seed)
+            assert len(testbed_mod._SHARED_TESTBEDS) <= testbed_mod._SHARED_CAP
+        again = shared_testbed(gtx680, seed=5)
+        assert shared_testbed(gtx680, seed=5) is again
