@@ -26,6 +26,11 @@ from repro.core.regression import (
     fit_ols,
     r_squared,
 )
+from repro.core.selection import ROUNDING_SLACK, SHORTLIST_TOLERANCE
+
+#: Singular values of the centred design below this fraction of the
+#: largest span directions too ill-determined to score a drop on.
+_TRUSTED = 1e-6
 
 
 @dataclass(frozen=True)
@@ -135,6 +140,15 @@ def backward_eliminate(
     Starts from all non-degenerate columns; at each step removes the
     variable whose removal yields the best adjusted R², stopping when no
     removal improves it (or ``min_features`` is reached).
+
+    Every drop at one step leaves the same variable count, so the best
+    adjusted R² is the smallest RSS increase.  On the equilibrated,
+    centred design ``Z``, removing column ``j`` raises the RSS by
+    ``beta_j**2 / [(Z'Z)^-1]_jj``, so one SVD scores every drop.  As in
+    :func:`~repro.core.selection.forward_select`, only the drops whose
+    score may be within :data:`~repro.core.selection.SHORTLIST_TOLERANCE`
+    of the best are refitted with :func:`fit_ols`, in ``selected`` order
+    with a strict ``>``, so the result is that of refitting every drop.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -147,13 +161,14 @@ def backward_eliminate(
         raise ValueError("all features are degenerate")
     current = fit_ols(X[:, selected], y)
     history = [current.adjusted_r2]
+    tolerance = SHORTLIST_TOLERANCE * float(y @ y)
     while len(selected) > min_features:
         step_best: tuple[float, int, RegressionResult] | None = None
-        for j in selected:
-            remaining = [k for k in selected if k != j]
+        for at in _drop_shortlist(X[:, selected], y, tolerance):
+            remaining = selected[:at] + selected[at + 1 :]
             model = fit_ols(X[:, remaining], y)
             if step_best is None or model.adjusted_r2 > step_best[0]:
-                step_best = (model.adjusted_r2, j, model)
+                step_best = (model.adjusted_r2, selected[at], model)
         assert step_best is not None
         score, j, model = step_best
         if score <= current.adjusted_r2:
@@ -167,3 +182,43 @@ def backward_eliminate(
         history=tuple(history),
         model=current,
     )
+
+
+def _drop_shortlist(X: np.ndarray, y: np.ndarray, tolerance: float) -> np.ndarray:
+    """Positions of the columns whose removal may cost the least RSS.
+
+    A column with weight on a direction of ``Z`` whose singular value is
+    below :data:`_TRUSTED` of the largest lies in a dependency, exact or
+    nearly so: dropping it may cost nothing, so it is always listed.
+    Every other column gets its RSS increase with an error bar for
+    rounding, and is listed when that bar comes within ``tolerance`` of
+    the smallest certain increase.
+    """
+    norms = np.linalg.norm(X, axis=0)
+    unit = X / np.where(norms == 0.0, 1.0, norms)
+    Z = unit - unit.mean(axis=0)
+    n, p = Z.shape
+    U, s, Vt = np.linalg.svd(Z, full_matrices=p > n)
+    # lstsq's rank cutoff: fit_ols solves with the directions above it.
+    cutoff = np.finfo(float).eps * max(n, p) * s[0]
+    fitted = int(np.count_nonzero(s > cutoff))
+    rank = int(np.count_nonzero(s > _TRUSTED * s[0]))
+    if rank == 0:  # the column norms over- or underflowed: no scores
+        return np.arange(p)
+    V, t = Vt[:rank].T, s[:rank]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # 1 / [(Z'Z)^+]_jj is |w_j|^2, w_j being column j less its
+        # projection on the other columns.
+        w_sq = 1.0 / ((V * V) @ (1.0 / t**2))
+        beta = V @ ((U[:, :rank].T @ y) / t)
+        increase = beta**2 * w_sq
+        # fit_ols's rounding grows with the condition number of the
+        # design it solves; the score's with that of the trusted part
+        # over |w_j|.
+        slack = s[0] / s[fitted - 1] + (t[0] / t[-1]) / np.sqrt(w_sq)
+        slack *= ROUNDING_SLACK * float(y @ y)
+        dependent = np.einsum("kj,kj->j", Vt[rank:], Vt[rank:]) > cutoff**2
+        low = np.where(dependent, 0.0, increase - slack)
+        high = np.where(dependent, np.inf, increase + slack)
+        # A score that is not a number rules nothing out.
+        return np.flatnonzero(~(low > high.min() + tolerance))
