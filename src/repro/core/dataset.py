@@ -123,12 +123,21 @@ class ModelingDataset:
         return tuple(seen)
 
     def counter_matrix(self) -> np.ndarray:
-        """Counter totals, shape (n_observations, n_counters)."""
-        return np.array(
-            [[o.counters[name] for name in self.counter_names]
-             for o in self.observations],
-            dtype=float,
-        )
+        """Counter totals, shape (n_observations, n_counters).
+
+        One row is built per distinct ``counters`` dict (a sample's
+        observations share one) and indexed out to observation order.
+        """
+        rows: dict[int, int] = {}
+        table = []
+        order = []
+        for o in self.observations:
+            row = rows.get(id(o.counters))
+            if row is None:
+                row = rows[id(o.counters)] = len(table)
+                table.append([o.counters[name] for name in self.counter_names])
+            order.append(row)
+        return np.array(table, dtype=float)[order]
 
     def exec_seconds(self) -> np.ndarray:
         """Measured execution times (the performance target)."""

@@ -42,13 +42,34 @@ class SerializationError(ReproError, ValueError):
 # datasets
 # ----------------------------------------------------------------------
 
+#: Stand-in for an observation's counter list while the document is
+#: encoded; ``_SLOT_TEXT`` occurs nowhere else in a dataset document.
+_COUNTERS_SLOT = "\x00"
+_COUNTERS_KEY = '"counters": '
+_SLOT_TEXT = _COUNTERS_KEY + json.dumps(_COUNTERS_SLOT)
+
+
 def dataset_to_json(dataset: ModelingDataset) -> str:
-    """Serialize a modeling dataset to a JSON string."""
+    """Serialize a modeling dataset to a JSON string.
+
+    The text is ``json.dumps`` of the document, but each distinct
+    ``counters`` dict (a sample's observations share one) is encoded
+    once and spliced into every observation referring to it.
+    """
+    names = dataset.counter_names
+    encoded: dict[int, str] = {}
+    counters_text = []
+    for o in dataset.observations:
+        text = encoded.get(id(o.counters))
+        if text is None:
+            text = json.dumps([o.counters[n] for n in names])
+            encoded[id(o.counters)] = text
+        counters_text.append(text)
     doc: dict[str, Any] = {
         "format": "repro.dataset",
         "version": FORMAT_VERSION,
         "gpu": dataset.gpu.name,
-        "counter_names": list(dataset.counter_names),
+        "counter_names": list(names),
         "counter_domains": {
             name: domain.value
             for name, domain in dataset.counter_domains.items()
@@ -59,7 +80,7 @@ def dataset_to_json(dataset: ModelingDataset) -> str:
                 "suite": o.suite,
                 "scale": o.scale,
                 "pair": o.op.key,
-                "counters": [o.counters[n] for n in dataset.counter_names],
+                "counters": _COUNTERS_SLOT,
                 "exec_seconds": o.exec_seconds,
                 "avg_power_w": o.avg_power_w,
                 "energy_j": o.energy_j,
@@ -69,7 +90,24 @@ def dataset_to_json(dataset: ModelingDataset) -> str:
         ],
         "exclusions": [e.document() for e in dataset.exclusions],
     }
-    return json.dumps(doc)
+    # An encoded string never holds an unescaped quote, so the slot
+    # text can only be a "counters" key whose value is the slot: an
+    # observation's (a counter named "counters" maps to a domain value).
+    head, *tails = json.dumps(doc).split(_SLOT_TEXT)
+    parts = [head]
+    for text, tail in zip(counters_text, tails, strict=True):
+        parts += (_COUNTERS_KEY, text, tail)
+    return "".join(parts)
+
+
+def _float_bits(values: list[Any]) -> bytes | None:
+    """The exact bits of an all-float list, ``None`` for any other list.
+
+    Equal bits encode to equal JSON, NaNs and signed zeros included.
+    """
+    if set(map(type, values)) - {float}:
+        return None
+    return np.array(values, dtype=float).tobytes()
 
 
 def dataset_from_json(text: str) -> ModelingDataset:
@@ -91,15 +129,22 @@ def dataset_from_json(text: str) -> ModelingDataset:
         for name, value in doc["counter_domains"].items()
     }
     observations = []
+    bits: bytes | None = None
+    counters: dict[str, Any] = {}
     for entry in doc["observations"]:
         op = gpu.operating_point(entry["pair"])
+        # Consecutive observations of one sample carry the same counter
+        # list; they share one dict, as in a freshly built dataset.
+        previous, bits = bits, _float_bits(entry["counters"])
+        if bits is None or bits != previous:
+            counters = dict(zip(counter_names, entry["counters"]))
         observations.append(
             Observation(
                 benchmark=entry["benchmark"],
                 suite=entry["suite"],
                 scale=float(entry["scale"]),
                 op=op,
-                counters=dict(zip(counter_names, entry["counters"])),
+                counters=counters,
                 exec_seconds=float(entry["exec_seconds"]),
                 avg_power_w=float(entry["avg_power_w"]),
                 energy_j=float(entry["energy_j"]),

@@ -11,10 +11,12 @@ produce byte-identical results.
 
 Durability (PR 7): when the config carries a
 :class:`~repro.execution.journal.RunJournal`, every unit outcome is
-journaled write-ahead (fsync'd before the batch proceeds) and a
-*resuming* journal replays settled units — payloads from the cache,
-failures and quarantines from the journal — instead of re-executing
-them.  Per-unit wall-clock timeouts (``unit_timeout_s``), circuit
+journaled write-ahead — committed (fsync'd) before the unit is
+reported, one commit for a batch's cache hits, one per arriving pool
+chunk, one per serially executed unit — and a *resuming* journal
+replays settled units — payloads from the cache, failures and
+quarantines from the journal — instead of re-executing them.
+Per-unit wall-clock timeouts (``unit_timeout_s``), circuit
 breakers (``breaker_threshold``) and graceful-shutdown draining all
 run through one canonical settle loop in unit-index order, so serial,
 pooled and resumed runs make byte-identical decisions.
@@ -482,9 +484,11 @@ def run_units(
     lost work instead of dying.
 
     The batch settles in three phases.  Phase 0 resolves cache hits
-    and — against a resuming journal — replays every journaled unit.
-    Phase A executes the remainder (the persistent pool at ``jobs>1``,
-    journaling raw outcomes in completion order for durability).  The
+    and — against a resuming journal — replays every journaled unit;
+    its hit records share one journal commit, and the hits are served
+    (and reported) after it.  Phase A executes the remainder (the
+    persistent pool at ``jobs>1``, journaling raw outcomes in
+    completion order, one commit per arriving chunk).  The
     settle loop then walks *all* unsettled units in unit-index order —
     one canonical sequence of circuit-breaker decisions, journal
     records, stats and progress callbacks that is identical for
@@ -550,8 +554,9 @@ def run_units(
         if bus is not None:
             # One progress envelope per settled unit, in the canonical
             # settle order (identical at any --jobs), published after
-            # any journal append for the unit — so streamed completions
-            # are always a subset of what the journal can replay.
+            # the commit of any journal record for the unit — so
+            # streamed completions are always a subset of what the
+            # journal can replay.
             bus.publish(
                 "progress",
                 {
@@ -580,16 +585,17 @@ def run_units(
                 )
             )
 
-    def serve_hit(index: int, unit: WorkUnit, payload: dict[str, Any],
-                  lookup_start: float) -> None:
+    def serve_hit(index: int, payload: dict[str, Any],
+                  lookup_start: float, lookup_end: float) -> None:
         nonlocal done
+        unit = unit_list[index]
         # Hits get a parent-side span (misses get their real span
         # grafted from the worker below).
         telemetry.tracer.record(
             str(unit),
             kind="unit",
             start_s=lookup_start,
-            end_s=telemetry.tracer.now(),
+            end_s=lookup_end,
             unit_kind=unit.kind,
             cache_hit=True,
             index=index,
@@ -600,8 +606,10 @@ def run_units(
         notify(index, cache_hit=True, attempts=0)
 
     # ------------------------------------------------------------------
-    # Phase 0: cache hits and journal replay
+    # Phase 0: cache hits and journal replay.  Hits are collected, then
+    # journaled under one commit and only then served (and reported).
     # ------------------------------------------------------------------
+    hits: list[tuple[int, dict[str, Any], float, float]] = []
     for index, unit in enumerate(unit_list):
         if cache is not None or journal is not None:
             keys[index] = unit.cache_key()
@@ -613,7 +621,9 @@ def run_units(
                     lookup_start = telemetry.tracer.now()
                     payload = cache.get(keys[index])
                     if payload is not None:
-                        serve_hit(index, unit, payload, lookup_start)
+                        hits.append(
+                            (index, payload, lookup_start, telemetry.tracer.now())
+                        )
                         continue
                     # The cache lost the entry: fall through and
                     # re-execute from scratch.
@@ -638,12 +648,19 @@ def run_units(
             lookup_start = telemetry.tracer.now()
             payload = cache.get(keys[index])
             if payload is not None:
-                if journal is not None:
-                    journal.record_unit(keys[index], "hit")
-                    metrics.inc("journal.appends")
-                serve_hit(index, unit, payload, lookup_start)
+                hits.append(
+                    (index, payload, lookup_start, telemetry.tracer.now())
+                )
                 continue
         pending.append((index, unit))
+    if hits and journal is not None and not resuming:
+        # Replayed hits are journaled already; fresh ones share a commit.
+        with journal.group_commit():
+            for index, *_ in hits:
+                journal.record_unit(keys[index], "hit")
+        metrics.inc("journal.appends", len(hits))
+    for hit in hits:
+        serve_hit(*hit)
 
     # ------------------------------------------------------------------
     # Phase A: execute the pending units
@@ -675,7 +692,7 @@ def run_units(
                 bus.flight_dump("pool-rebuild")
 
             try:
-                for index, outcome in pool.run_pending(
+                for chunk in pool.run_pending(
                     unit_list,
                     pending,
                     config.retries,
@@ -688,14 +705,16 @@ def run_units(
                     grace_s=config.shutdown_grace_s,
                     on_rebuild=_pool_rebuilt if bus is not None else None,
                 ):
-                    outcome_for[index] = outcome
+                    outcome_for.update(chunk)
                     if journal is not None:
-                        # Raw write-ahead record in completion order;
-                        # the settle loop below re-journals units a
-                        # breaker quarantines (last record wins on
-                        # replay).
-                        _journal_outcome(journal, keys[index], outcome)
-                        metrics.inc("journal.appends")
+                        # Raw write-ahead records in completion order,
+                        # one commit per chunk; the settle loop below
+                        # re-journals units a breaker quarantines (last
+                        # record wins on replay).
+                        with journal.group_commit():
+                            for index, outcome in chunk:
+                                _journal_outcome(journal, keys[index], outcome)
+                        metrics.inc("journal.appends", len(chunk))
             except CampaignInterrupted:
                 if bus is not None:
                     bus.flight_dump("shutdown")

@@ -2,10 +2,20 @@
 
 A :class:`RunJournal` is an append-only JSONL file recording what every
 work unit of a campaign actually did — success, cache hit, failure or
-quarantine — keyed by the unit's content-address (``cache_key``).  Each
-record is flushed and ``fsync``\\ ed before the engine moves on, so a
-campaign killed at any instant (SIGKILL included) leaves a journal that
-reconstructs everything already settled:
+quarantine — keyed by the unit's content-address (``cache_key``).
+
+Durability is group-committed: a record is written when it is appended,
+and a *commit* (flush + ``fsync``) makes every record written since the
+last one durable.  Outside a :meth:`RunJournal.group_commit` block each
+append commits on its own; inside one, the block's records share a
+single commit when it exits.  The engine groups the cache-hit records of
+one batch's lookup phase and the raw outcomes of one arriving pool
+chunk, and commits every other record (serial executions, breaker
+transitions, quarantines) individually.  Nothing about a record is
+reported before its commit: the observer, and through the engine every
+progress tick and callback, runs only after it.  A campaign killed at
+any instant (SIGKILL included) therefore leaves a journal that
+reconstructs at least everything already reported:
 
 * ``ok`` records replay from the result cache with their recorded
   attempt counts, so a resumed run re-earns the health accounting of
@@ -28,10 +38,11 @@ replay self-heals to the canonical decision.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
-from typing import Any, TextIO
+from typing import Any, Iterator, TextIO
 
 JOURNAL_FORMAT = "repro.journal"
 JOURNAL_VERSION = 1
@@ -41,7 +52,7 @@ UNIT_STATUSES = ("ok", "hit", "fail", "quarantined")
 
 
 class RunJournal:
-    """Append-only, fsync'd JSONL record of work-unit outcomes.
+    """Append-only, group-committed JSONL record of work-unit outcomes.
 
     Parameters
     ----------
@@ -54,12 +65,12 @@ class RunJournal:
         into memory — :attr:`resuming` reports whether there was
         anything valid to replay — and appends to it.
     observer:
-        Optional callback invoked with each record dict *after* its
-        durable append (write + flush + fsync).  The live event bus
-        subscribes here so streamed unit records never report a
-        completion the journal could still lose.  Observe-only: an
-        observer error is swallowed, and replayed records are not
-        re-announced.
+        Optional callback invoked with each record dict *after* the
+        commit (flush + fsync) that made it durable, in append order.
+        The live event bus subscribes here so streamed unit records
+        never report a completion the journal could still lose.
+        Observe-only: an observer error is swallowed, and replayed
+        records are not re-announced.
     """
 
     def __init__(
@@ -78,6 +89,9 @@ class RunJournal:
         self.resuming = False
         #: Records appended by this process (observability, tests).
         self.appends = 0
+        #: Records written but not yet committed, while a
+        #: :meth:`group_commit` block is open (``None`` outside one).
+        self._uncommitted: list[dict[str, Any]] | None = None
         if resume and self.path.exists():
             self._replay()
         else:
@@ -93,6 +107,7 @@ class RunJournal:
         self._write_line(
             {"format": JOURNAL_FORMAT, "version": JOURNAL_VERSION}
         )
+        self._commit()
 
     def _replay(self) -> None:
         """Load prior records, truncating any torn trailing line."""
@@ -146,8 +161,21 @@ class RunJournal:
     def _write_line(self, record: dict[str, Any]) -> None:
         assert self._handle is not None, "journal is closed"
         self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def _commit(self) -> None:
+        assert self._handle is not None, "journal is closed"
         self._handle.flush()
         os.fsync(self._handle.fileno())
+
+    def _append(self, record: dict[str, Any]) -> None:
+        """Write one record; commit and announce it unless grouped."""
+        self._write_line(record)
+        self.appends += 1
+        if self._uncommitted is not None:
+            self._uncommitted.append(record)
+            return
+        self._commit()
+        self._notify(record)
 
     def _notify(self, record: dict[str, Any]) -> None:
         if self.observer is None:
@@ -159,6 +187,26 @@ class RunJournal:
             # (the record is already durable at this point).
             pass
 
+    @contextlib.contextmanager
+    def group_commit(self) -> Iterator[None]:
+        """Commit every record appended inside the block at once.
+
+        Records are written as they are appended, then flushed and
+        fsynced together when the block exits (on an error too), and
+        only then announced to the observer, in append order.  A block
+        that appended nothing commits nothing.  Blocks do not nest.
+        """
+        assert self._uncommitted is None, "group commits do not nest"
+        self._uncommitted = []
+        try:
+            yield
+        finally:
+            records, self._uncommitted = self._uncommitted, None
+            if records:
+                self._commit()
+                for record in records:
+                    self._notify(record)
+
     def record_unit(
         self,
         key: str,
@@ -168,7 +216,7 @@ class RunJournal:
         message: str | None = None,
         permanent: bool = False,
     ) -> None:
-        """Durably append one unit outcome (write-ahead of any artifact)."""
+        """Append one unit outcome (write-ahead of any artifact)."""
         if status not in UNIT_STATUSES:
             raise ValueError(f"unknown journal status {status!r}")
         record = {
@@ -180,22 +228,18 @@ class RunJournal:
             "message": message,
             "permanent": permanent,
         }
-        self._write_line(record)
+        self._append(record)
         self._records[key] = record
-        self.appends += 1
-        self._notify(record)
 
     def record_breaker(self, cls: str, event: str, failures: int) -> None:
-        """Durably append one circuit-breaker state transition."""
+        """Append one circuit-breaker state transition."""
         record = {
             "type": "breaker",
             "class": cls,
             "event": event,
             "failures": failures,
         }
-        self._write_line(record)
-        self.appends += 1
-        self._notify(record)
+        self._append(record)
 
     # ------------------------------------------------------------------
     # replay

@@ -218,8 +218,11 @@ class PersistentPoolExecutor:
         max_backoff_s: float = 8.0,
         grace_s: float = 5.0,
         on_rebuild: Any = None,
-    ) -> Iterator[tuple[int, Any]]:
-        """Run pending (index, unit) pairs; yields (index, outcome).
+    ) -> Iterator[list[tuple[int, Any]]]:
+        """Run pending (index, unit) pairs; yields each arriving chunk.
+
+        A chunk is the list of ``(index, outcome)`` pairs one worker
+        task settled, so the caller can journal it with one commit.
 
         The dispatch loop wakes every :data:`POLL_INTERVAL_S` to notice
         a graceful-shutdown request — unsubmitted chunks are cancelled,
@@ -292,7 +295,7 @@ class PersistentPoolExecutor:
                         continue
                     loads_by_pid[pid] = loads
                     remaining.remove(chunk_id)
-                    yield from results
+                    yield results
                 if broken:
                     break
                 if not_done and shutdown_requested():
@@ -310,7 +313,7 @@ class PersistentPoolExecutor:
                             continue
                         loads_by_pid[pid] = loads
                         remaining.remove(futures[future])
-                        yield from results
+                        yield results
                     self.stats.state_loads = sum(loads_by_pid.values())
                     shutdown_pool()
                     unfinished = sum(len(chunks[cid]) for cid in remaining)
@@ -357,13 +360,18 @@ class PersistentPoolExecutor:
                             f"gave up after {MAX_POOL_REBUILDS} pool rebuilds"
                         )
                     for chunk_id in remaining:
-                        for pos in chunks[chunk_id]:
-                            yield pos, _UnitOutcome(
-                                payload=None,
-                                attempts=1,
-                                error_type=error_type,
-                                message=message,
-                                permanent=True,
+                        yield [
+                            (
+                                pos,
+                                _UnitOutcome(
+                                    payload=None,
+                                    attempts=1,
+                                    error_type=error_type,
+                                    message=message,
+                                    permanent=True,
+                                ),
                             )
+                            for pos in chunks[chunk_id]
+                        ]
                     return
         self.stats.state_loads = sum(loads_by_pid.values())

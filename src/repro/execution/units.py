@@ -25,12 +25,13 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
 from repro._version import __version__
 from repro.arch.specs import GPUSpec
+from repro.engine.batch import content_fingerprint
 from repro.errors import ProfilerError
 from repro.faults import FaultInjector, FaultPlan
 from repro.instruments.powermeter import PowerTrace
@@ -76,6 +77,29 @@ def gpu_document(gpu: GPUSpec) -> dict[str, Any]:
 def kernel_document(kernel: KernelSpec) -> dict[str, Any]:
     """Canonical JSON-able description of a benchmark."""
     return dataclasses.asdict(kernel)
+
+
+#: Encoded documents by (builder, content fingerprint of the spec),
+#: capped like the fingerprint memo (campaigns hold a handful of specs).
+_DOCUMENTS: dict[tuple[Callable[[Any], dict[str, Any]], int], str] = {}
+_DOCUMENTS_CAP = 1024
+
+
+def _document(
+    build: Callable[[Any], dict[str, Any]], spec: Any
+) -> dict[str, Any]:
+    """``build(spec)``, built once per spec content and decoded afresh.
+
+    Each call returns a new document, so a caller mutating it cannot
+    poison the memo; the decoded copy re-encodes to the same JSON.
+    """
+    key = (build, content_fingerprint(spec))
+    text = _DOCUMENTS.get(key)
+    if text is None:
+        if len(_DOCUMENTS) >= _DOCUMENTS_CAP:
+            _DOCUMENTS.clear()
+        text = _DOCUMENTS[key] = json.dumps(build(spec))
+    return json.loads(text)
 
 
 # ----------------------------------------------------------------------
@@ -197,8 +221,8 @@ class SweepUnit(WorkUnit):
 
     def spec(self) -> dict[str, Any]:
         return {
-            "gpu": gpu_document(self.gpu),
-            "kernel": kernel_document(self.kernel),
+            "gpu": _document(gpu_document, self.gpu),
+            "kernel": _document(kernel_document, self.kernel),
             "pair": self.pair,
             "scale": self.scale,
         }
@@ -254,8 +278,8 @@ class DatasetUnit(WorkUnit):
 
     def spec(self) -> dict[str, Any]:
         return {
-            "gpu": gpu_document(self.gpu),
-            "kernel": kernel_document(self.kernel),
+            "gpu": _document(gpu_document, self.gpu),
+            "kernel": _document(kernel_document, self.kernel),
             "scale": self.scale,
             "pairs": list(self.pairs) if self.pairs is not None else None,
             "profiler_seed": self.profiler_seed,

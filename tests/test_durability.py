@@ -110,6 +110,114 @@ class TestRunJournal:
         assert len(replay) == 0
         replay.close()
 
+    def test_group_commit_defers_fsync_and_observer(
+        self, tmp_path, monkeypatch
+    ):
+        seen = []
+        journal = RunJournal(
+            tmp_path / "journal.jsonl", observer=seen.append
+        )
+        spy = _CommitSpy(monkeypatch, journal)
+        with journal.group_commit():
+            journal.record_unit("k1", "hit")
+            journal.record_unit("k2", "hit")
+            assert spy.commits == [] and seen == []
+        assert spy.commits == [2]
+        assert [r["key"] for r in seen] == ["k1", "k2"]
+        with journal.group_commit():
+            pass  # nothing appended: nothing to commit
+        journal.record_unit("k3", "ok")
+        assert spy.commits == [2, 3]
+        journal.close()
+
+
+class _CommitSpy:
+    """Counts fsyncs of one journal's file descriptor.
+
+    ``commits`` holds, per fsync, how many records (header excluded)
+    the file held at that moment, i.e. how many were durable.
+    """
+
+    def __init__(self, monkeypatch, journal):
+        import repro.execution.journal as journal_module
+
+        self.path = journal.path
+        self.fd = journal._handle.fileno()
+        self.commits: list[int] = []
+        real = journal_module.os.fsync
+
+        def fsync(fd):
+            real(fd)
+            if fd == self.fd:
+                self.commits.append(len(self.durable_keys()))
+
+        monkeypatch.setattr(journal_module.os, "fsync", fsync)
+
+    def durable_keys(self) -> list[str]:
+        lines = self.path.read_text(encoding="utf-8").splitlines()[1:]
+        return [json.loads(line).get("key") for line in lines]
+
+
+class TestGroupCommit:
+    """Journal commits per phase, and nothing reported before its commit."""
+
+    BENCHMARKS = ("nn", "hotspot", "lud")
+
+    def _build(self, tmp_path, monkeypatch, jobs, warm):
+        from repro.core.dataset import build_dataset
+        from repro.execution.units import dataset_units
+        from repro.session import RunContext
+
+        gpu = get_gpu("GTX 480")
+        benchmarks = [get_benchmark(n) for n in self.BENCHMARKS]
+        ctx = RunContext.resolve(
+            seed=SEED,
+            execution=ExecutionConfig(jobs=jobs, cache_dir=tmp_path / "cache"),
+        )
+        if warm:
+            build_dataset(gpu, benchmarks, ctx=ctx)
+        observed, reported = [], []
+        journal = RunJournal(
+            tmp_path / "journal.jsonl",
+            observer=lambda r: observed.append((r, spy.durable_keys())),
+        )
+        spy = _CommitSpy(monkeypatch, journal)
+        keys = [u.cache_key() for u in dataset_units(gpu, benchmarks, ctx=ctx)]
+        execution = dataclasses.replace(
+            ctx.execution,
+            journal=journal,
+            callback=lambda e: reported.append(
+                (keys[e.index], spy.durable_keys())
+            ),
+        )
+        build_dataset(
+            gpu, benchmarks, ctx=dataclasses.replace(ctx, execution=execution)
+        )
+        journal.close()
+        # Every observer call and progress callback came after the commit
+        # covering its record; observers ran in append order.
+        assert len(reported) == len(keys)
+        assert all(key in durable for key, durable in reported)
+        assert all(r["key"] in durable for r, durable in observed)
+        assert [r["key"] for r, _ in observed] == spy.durable_keys()
+        return spy, keys
+
+    def test_warm_build_commits_once(self, tmp_path, monkeypatch):
+        spy, keys = self._build(tmp_path, monkeypatch, jobs=1, warm=True)
+        assert spy.commits == [len(keys)]
+
+    def test_serial_cold_build_commits_per_unit(self, tmp_path, monkeypatch):
+        spy, keys = self._build(tmp_path, monkeypatch, jobs=1, warm=False)
+        assert spy.commits == list(range(1, len(keys) + 1))
+
+    def test_pooled_cold_build_commits_per_chunk(self, tmp_path, monkeypatch):
+        from repro.execution.pool import chunk_size
+
+        spy, keys = self._build(tmp_path, monkeypatch, jobs=2, warm=False)
+        chunks = -(-len(keys) // chunk_size(len(keys), 2))
+        assert 1 <= len(spy.commits) <= chunks
+        assert spy.commits[-1] == len(keys)
+
 
 # ----------------------------------------------------------------------
 # retry backoff: cap + deterministic jitter
