@@ -3,11 +3,11 @@
 The paper's campaigns are grid-shaped: every benchmark at every Table
 III operating point, at several input scales.  The scalar path walks
 that grid one ``GPUSimulator.run`` at a time, re-seeding five noise
-streams per cell at ~16us each.  :class:`BatchSimulator` evaluates the
-same grid columnarly:
+streams per cell at about 20us each.  :class:`BatchSimulator` evaluates
+the same grid columnarly:
 
-* stream seeding is vectorized across the whole grid
-  (:class:`repro.rng.StreamBank`), and
+* stream seeding, and each stream's first draw, are vectorized across
+  the whole grid (:class:`repro.rng.StreamBank`), and
 * every pure intermediate (work profile, cache outcome, the full run
   record) is memoized per cell, so re-evaluating a grid — the shape of
   every bench repeat and every warm campaign — costs dictionary lookups.
@@ -15,7 +15,7 @@ same grid columnarly:
 The scalar and columnar paths run one cell implementation,
 :func:`~repro.engine.simulator.simulate_run`; this one passes it the
 memoized work profile, cache outcome and idle power and draws noise from
-generators bit-identical to ``repro.rng.stream``.  A
+bank streams whose draws are bit-identical to ``repro.rng.stream``'s.  A
 :class:`BatchSimulator` record is therefore byte-for-byte the record
 ``GPUSimulator.run`` produces for the same cell
 (tests/test_batch_parity.py asserts this over random grids).

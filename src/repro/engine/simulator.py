@@ -117,10 +117,12 @@ class RunRecord:
         )
 
 
-#: ``draw(*coords)`` returns the noise generator of one stream.  It may
-#: reuse one generator object across calls (``StreamBank.stream``), so
-#: each generator is drawn from before the next ``draw`` call.  (A string
-#: reference: evaluating ``np.random`` here would import it eagerly.)
+#: ``draw(*coords)`` returns the noise generator of one stream, or an
+#: object whose ``normal`` and ``uniform`` return what that generator's
+#: would (``StreamBank.stream``, which answers most first draws from
+#: precomputed columns).  It may reuse one object across calls, so each
+#: is drawn from before the next ``draw`` call.  (A string reference:
+#: evaluating ``np.random`` here would import it eagerly.)
 Draw = Callable[..., "np.random.Generator"]
 
 

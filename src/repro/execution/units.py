@@ -123,7 +123,7 @@ def measurement_to_payload(m: Measurement) -> dict[str, Any]:
         "repeats": int(m.repeats),
         "degraded": bool(m.degraded),
         "trace_interval_s": float(m.trace.interval_s),
-        "trace_samples": [float(s) for s in m.trace.samples],
+        "trace_samples": m.trace.samples.tolist(),
         "trace_valid": (
             None if m.trace.valid is None else [bool(v) for v in m.trace.valid]
         ),

@@ -7,8 +7,10 @@ columnarly.  A grid cell's measurement is the window
 counter totals are
 :func:`~repro.instruments.profiler.counter_totals`, as for
 :class:`~repro.instruments.profiler.CudaProfiler` — but with stream
-seeding vectorized across the grid and every cell memoized, so warm
-grids cost dictionary lookups.
+seeding and first draws vectorized across the grid
+(:class:`~repro.rng.StreamBank`; only the meter's sample-noise draw
+needs a real generator) and every cell memoized, so warm grids cost
+dictionary lookups.
 
 Fault injection is deliberately out of scope: injected faults are
 per-attempt, stateful, and rare, so faulty units keep the scalar path

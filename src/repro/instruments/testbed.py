@@ -71,8 +71,8 @@ def wall_profile(
         durations.insert(0, record.idle_seconds)
         watts.insert(0, host_phase_w)
     return (
-        np.tile(np.array(durations, dtype=float), repeats),
-        np.tile(np.array(watts, dtype=float), repeats),
+        np.array(durations * repeats, dtype=float),
+        np.array(watts * repeats, dtype=float),
     )
 
 

@@ -7,7 +7,8 @@ their noise generators come from and whether they memoize.  Checked:
 * ``repro.rng.StreamBank`` vs ``repro.rng.stream`` (bit-equal draws),
 * ``BatchSimulator.run_grid`` / ``BatchMeasurer.measure_grid`` vs the
   scalar ``set_clocks`` + ``run`` / ``measure`` protocol, and that a
-  prepared grid evaluates without seeding any stream it did not prepare,
+  prepared grid evaluates without seeding any stream it did not prepare
+  or writing generator state for a draw the bank's columns answer,
 * ``evaluate_fast`` vs ``WorkUnit.execute`` payloads — including a
   hypothesis sweep over random synthetic-kernel grids, because payload
   equality must hold for *any* workload, not just the curated 37.
@@ -16,6 +17,7 @@ their noise generators come from and whether they memoize.  Checked:
 from __future__ import annotations
 
 import json
+import math
 import pickle
 
 import numpy as np
@@ -26,8 +28,8 @@ from repro.arch.specs import all_gpus, get_gpu
 from repro.engine.batch import BatchSimulator
 from repro.engine.simulator import GPUSimulator
 from repro.execution.batch import evaluate_fast, is_batchable, prepare_units
-from repro.execution.units import DatasetUnit, SweepUnit, sweep_units
-from repro.instruments.batch import BatchMeasurer
+from repro.execution.units import DatasetUnit, SweepUnit, dataset_units, sweep_units
+from repro.instruments.batch import BatchMeasurer, shared_batch_measurer
 from repro.instruments.testbed import Testbed
 from repro.kernels.suites import all_benchmarks, get_benchmark
 from repro.kernels.synthetic import generate_kernel
@@ -149,14 +151,46 @@ class TestGridParity:
         measurer.prepare(cells)
         measurer.prepare_profiles(profiled, profiler_seed=31337)
         banks = [measurer.sim.streams, measurer._profiler_bank(31337)]
-        seeded = [len(bank._words) for bank in banks]
+        seeded = [len(bank._lanes) for bank in banks]
         for kernel, scale, op in cells:
             measurer.measure(kernel, scale, op)
         hh = gpu.operating_point("H-H")
         for kernel, scale in profiled:
             if kernel.profiler_ok:
                 measurer.counter_totals(kernel, scale, hh, profiler_seed=31337)
-        assert [len(bank._words) for bank in banks] == seeded
+        assert [len(bank._lanes) for bank in banks] == seeded
+
+    def test_prepared_dataset_grid_writes_state_only_for_meter_and_rejected_lanes(
+        self, monkeypatch
+    ):
+        # Every scalar first draw numpy's fast path takes is answered
+        # from the bank's columns.  A fallback that writes PCG64 state
+        # for every stream keeps the parity tests green; this fails.
+        gpu = get_gpu("GTX 680")
+        seed = 180_417  # a seed no other test measures, so nothing is memoized
+        units = dataset_units(gpu, all_benchmarks(), seed=seed)
+        prepare_units(units)
+        written = []
+        materialize = StreamBank._materialize
+
+        def spy(bank, lane, drawn):
+            written.append((bank, lane, drawn))
+            return materialize(bank, lane, drawn)
+
+        monkeypatch.setattr(StreamBank, "_materialize", spy)
+        for unit in units:
+            evaluate_fast(unit)
+        labels = {}
+        meter = 0
+        for bank, lane, drawn in written:
+            if id(bank) not in labels:
+                labels[id(bank)] = {i: c[0] for c, i in bank._lanes.items()}
+            assert not drawn
+            if labels[id(bank)][lane] == "meter":
+                meter += 1
+            else:
+                assert math.isnan(bank._normal[lane])
+        assert meter == len(shared_batch_measurer(gpu, seed)._measurements) > 100
 
 
 def _payloads_equal(scalar, fast) -> bool:
