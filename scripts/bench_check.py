@@ -10,8 +10,9 @@ Before the persistent pool, ``--jobs 4`` on ~2 ms units was *slower*
 than serial: every batch paid pool boot, per-unit pickling of the
 arch/kernel tables, and a serialized parent-side cache fsync per unit.
 This check is the regression gate for that property — if chunked
-dispatch or the initializer preload breaks, jobs4 falls behind jobs1
-again and CI fails here rather than silently regressing.
+dispatch or the warm per-worker memos of a repeated unit list break,
+jobs4 falls behind jobs1 again and CI fails here rather than silently
+regressing.
 
 Usage::
 

@@ -244,8 +244,3 @@ def registered_instances() -> Iterator[tuple[str, GPUSpec]]:
     for key, spec in _INSTANCES.items():
         if key.startswith("gpu-"):
             yield key, spec
-
-
-def clear_instances() -> None:
-    """Drop the instance table (tests)."""
-    _INSTANCES.clear()

@@ -40,11 +40,6 @@ class Classification:
     evidence: dict[str, float]
 
 
-def _ratio(counters: Mapping[str, float], num: str, den: str) -> float:
-    d = counters.get(den, 0.0)
-    return counters.get(num, 0.0) / d if d > 0 else 0.0
-
-
 def _dram_bytes(counters: Mapping[str, float], spec: GPUSpec) -> float:
     """Estimate DRAM traffic (bytes) from the architecture's counters."""
     set_name = spec.traits.counter_set

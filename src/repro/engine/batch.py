@@ -163,27 +163,3 @@ class BatchSimulator:
             self.streams.stream,
             self.ambient_c,
         )
-
-
-#: Process-local shared simulators, keyed by (card content, seed).
-_SHARED: dict[tuple[int, int | None], BatchSimulator] = {}
-
-#: Cap on the shared-simulator memo (tests churn seeds; campaigns don't).
-_SHARED_CAP = 64
-
-
-def shared_batch_simulator(
-    spec: GPUSpec, seed: int | None = None
-) -> BatchSimulator:
-    """This process's memoized batch simulator for a (card, seed).
-
-    Only default ambient temperature is memoized here — construct a
-    :class:`BatchSimulator` directly for custom thermal environments.
-    """
-    key = (content_fingerprint(spec), seed)
-    sim = _SHARED.get(key)
-    if sim is None:
-        if len(_SHARED) >= _SHARED_CAP:
-            _SHARED.clear()
-        sim = _SHARED[key] = BatchSimulator(spec, seed=seed)
-    return sim

@@ -5,14 +5,18 @@ a fresh ``ProcessPoolExecutor`` per batch (fork + interpreter boot), one
 pickled (unit, args) round trip per unit, and a parent-side serialized
 ``fsync`` per cache write.  This module replaces all three:
 
-* **one pool per (jobs, units-blob)** — the pool survives across
-  ``run_units`` calls with the same unit list (every bench repeat,
-  every retry of a campaign), keyed by a digest of the pickled units;
-* **initializer preload** — workers unpickle the read-only unit list
-  (and with it the arch/kernel tables) exactly once, in the pool
-  initializer, and vector-seed the batchable units' noise streams;
-  tasks then reference units by position, so per-task pickling is a
-  few integers;
+* **one pool per process** — keyed by ``jobs`` alone, the pool survives
+  across ``run_units`` calls whatever their units (every card of a
+  campaign, every bench repeat) and is rebuilt only when ``jobs``
+  changes or a worker crashes.  Workers fork once, so a worker sees
+  parent state only as it was when the pool forked, plus whatever each
+  task carries;
+* **each chunk carries its own units** — a task ships its chunk's units
+  and the digest of the dispatch's unit list, and vector-seeds the
+  noise streams of its own batchable units only.  A worker keeps its
+  batch measurers while chunks of one unit list arrive (a repeated
+  dispatch of the same list stays warm) and drops them on the first
+  chunk of a different list, so memos live as long as one list;
 * **chunked dispatch** — pending units ship in chunks of roughly
   ``n / (jobs * 4)`` (clamped to [1, 64]), amortizing the submit/result
   round trip while keeping enough chunks in flight for load balance;
@@ -21,17 +25,17 @@ pickled (unit, args) round trip per unit, and a parent-side serialized
   serializing in the parent (the parent keeps the ``cache.puts``
   counter by compensating for flagged outcomes).
 
-Worker crashes (``BrokenProcessPool``) are survived: the pool is
-rebuilt — re-running the initializer — and unfinished chunks are
-resubmitted, within a bounded rebuild budget; past the budget the
-remaining units come back as permanent failures.
+Worker crashes (``BrokenProcessPool``) and stalls are survived: the
+pool is rebuilt and the unfinished chunks re-run one at a time, a chunk
+that breaks the pool alone splitting into single units, so only a unit
+that breaks the pool alone, past a bounded rebuild budget, comes back
+as a permanent failure.
 """
 
 from __future__ import annotations
 
 import atexit
 import hashlib
-import os
 import pickle
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -48,8 +52,9 @@ MAX_CHUNK_UNITS = 64
 #: Target number of chunks per worker (load-balance headroom).
 CHUNKS_PER_WORKER = 4
 
-#: Pool rebuilds tolerated per dispatch before the remaining units are
-#: reported as permanent failures.
+#: Rebuilds a unit may cost before it is given up on: a unit that
+#: breaks the pool while running alone, after being in flight at this
+#: many earlier breaks, comes back as a permanent failure.
 MAX_POOL_REBUILDS = 2
 
 #: How often the dispatch loop wakes to poll the shutdown flag and the
@@ -73,30 +78,10 @@ def chunk_size(pending: int, jobs: int) -> int:
 # worker side
 # ----------------------------------------------------------------------
 
-#: The read-only unit list, unpickled once per worker by the initializer.
-_WORKER_UNITS: "tuple[Any, ...] | None" = None
-
-#: How many times this worker process loaded the unit/arch state
-#: (always 1 — the regression guard the state-load gauge watches).
-_WORKER_STATE_LOADS = 0
+#: Digest of the unit list this worker's memos belong to.
+_WORKER_DIGEST: str | None = None
 
 _WORKER_CACHES: dict[str, Any] = {}
-
-
-def _worker_init(blob: bytes) -> None:
-    """Pool initializer: preload read-only state exactly once.
-
-    Unpickling the blob materializes every unit — and through them the
-    arch specs and kernel tables — in this worker; the batchable units'
-    noise streams are then vector-seeded so the first task finds a warm
-    evaluator instead of paying per-unit seeding.
-    """
-    global _WORKER_UNITS, _WORKER_STATE_LOADS
-    from repro.execution.batch import is_batchable, prepare_units
-
-    _WORKER_UNITS = pickle.loads(blob)
-    _WORKER_STATE_LOADS += 1
-    prepare_units([u for u in _WORKER_UNITS if is_batchable(u)])
 
 
 def _worker_cache(cache_dir: str):
@@ -109,7 +94,8 @@ def _worker_cache(cache_dir: str):
 
 
 def _run_chunk(
-    positions: Sequence[int],
+    units: Sequence[Any],
+    digest: str,
     retries: int,
     backoff_s: float,
     fast_flags: Sequence[bool],
@@ -117,31 +103,43 @@ def _run_chunk(
     keys: Sequence[str | None],
     unit_timeout_s: float | None = None,
     max_backoff_s: float = 8.0,
-) -> tuple[int, int, list]:
-    """Execute one chunk of preloaded units; returns (pid, loads, results).
+) -> tuple[bool, list]:
+    """Execute one chunk of units; returns (loaded, outcomes).
 
-    ``positions`` index into the initializer-preloaded unit list.  Fast
-    units are evaluated through the batch layer (falling back to the
-    scalar retry loop on any error); scalar units run the full
-    telemetry-recording retry loop.  With a cache directory, results
-    are persisted worker-side and the outcome flagged ``cached`` so the
-    parent skips its own serialized write.
+    The first chunk of a unit list (``digest``) this worker sees drops
+    the memos of the previous list (``loaded``).  The chunk's fast
+    units are vector-seeded, then evaluated through the batch layer
+    (falling back to the scalar retry loop on any error); scalar units
+    run the full telemetry-recording retry loop.  With a cache
+    directory, results are persisted worker-side and the outcome
+    flagged ``cached`` so the parent skips its own serialized write.
     """
+    global _WORKER_DIGEST
+    from repro.engine import batch as engine_batch
+    from repro.execution.batch import prepare_units
     from repro.execution.engine import _execute_fast, _execute_with_retry
+    from repro.instruments import batch
 
-    assert _WORKER_UNITS is not None, "pool initializer did not run"
+    loaded = digest != _WORKER_DIGEST
+    if loaded:
+        # Memos live as long as one unit list, as when each list forked
+        # its own pool (every chunk unpickles fresh spec objects, which
+        # the identity-keyed fingerprint memo would otherwise pile up).
+        batch._SHARED.clear()
+        engine_batch._CONTENT_FPS.clear()
+        _WORKER_CACHES.clear()
+        _WORKER_DIGEST = digest
+    prepare_units([unit for unit, fast in zip(units, fast_flags) if fast])
     cache = _worker_cache(cache_dir) if cache_dir is not None else None
-    results = []
-    for pos, fast, key in zip(positions, fast_flags, keys):
+    outcomes = []
+    for unit, fast, key in zip(units, fast_flags, keys):
         execute = _execute_fast if fast else _execute_with_retry
-        outcome = execute(
-            _WORKER_UNITS[pos], retries, backoff_s, unit_timeout_s, max_backoff_s
-        )
+        outcome = execute(unit, retries, backoff_s, unit_timeout_s, max_backoff_s)
         if cache is not None and key is not None and outcome.payload is not None:
             cache.put(key, outcome.payload)
             outcome = replace(outcome, cached=True)
-        results.append((pos, outcome))
-    return os.getpid(), _WORKER_STATE_LOADS, results
+        outcomes.append(outcome)
+    return loaded, outcomes
 
 
 # ----------------------------------------------------------------------
@@ -149,13 +147,13 @@ def _run_chunk(
 # ----------------------------------------------------------------------
 
 _POOL: ProcessPoolExecutor | None = None
-_POOL_KEY: tuple[int, str] | None = None
+_POOL_JOBS = 0
 
 
 def shutdown_pool() -> None:
     """Tear down the persistent pool (idempotent; registered atexit)."""
-    global _POOL, _POOL_KEY
-    pool, _POOL, _POOL_KEY = _POOL, None, None
+    global _POOL
+    pool, _POOL = _POOL, None
     if pool is not None:
         pool.shutdown(wait=False, cancel_futures=True)
 
@@ -163,21 +161,11 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-def active_pool_key() -> "tuple[int, str] | None":
-    """The (jobs, units-digest) key of the live pool, if any (tests)."""
-    return _POOL_KEY
-
-
-def _get_pool(jobs: int, blob: bytes, digest: str) -> ProcessPoolExecutor:
-    global _POOL, _POOL_KEY
-    key = (jobs, digest)
-    if _POOL is not None and _POOL_KEY == key:
-        return _POOL
-    shutdown_pool()
-    _POOL = ProcessPoolExecutor(
-        max_workers=jobs, initializer=_worker_init, initargs=(blob,)
-    )
-    _POOL_KEY = key
+def _get_pool(jobs: int) -> ProcessPoolExecutor:
+    global _POOL, _POOL_JOBS
+    if _POOL is None or _POOL_JOBS != jobs:
+        shutdown_pool()
+        _POOL, _POOL_JOBS = ProcessPoolExecutor(max_workers=jobs), jobs
     return _POOL
 
 
@@ -185,10 +173,11 @@ def _get_pool(jobs: int, blob: bytes, digest: str) -> ProcessPoolExecutor:
 class PoolStats:
     """What the persistent pool did for one dispatch."""
 
-    #: Worker state loads observed (one per worker process that served
-    #: this dispatch — *not* per unit; the initializer-preload guard).
+    #: Workers that loaded this dispatch's unit list — dropped the
+    #: memos of another list on its first chunk (at most one per worker
+    #: process, *not* per unit or chunk).
     state_loads: int = 0
-    #: Pool rebuilds forced by worker crashes.
+    #: Pool rebuilds forced by worker crashes or stalls.
     rebuilds: int = 0
 
 
@@ -231,71 +220,85 @@ class PersistentPoolExecutor:
         when ``unit_timeout_s`` is set, to enforce a whole-dispatch
         deadline as a backstop against workers wedged beyond the
         in-worker watchdog (hung in C code, say).  A stalled dispatch
-        is treated like a crashed one: the pool is rebuilt and the
-        unfinished chunks resubmitted, within the shared rebuild
-        budget.
+        is treated like a crashed one.  After either, the pool is
+        rebuilt and the unfinished chunks re-run one at a time; a chunk
+        that breaks the pool alone is split into single units, and a
+        single unit that breaks it alone past :data:`MAX_POOL_REBUILDS`
+        comes back as a permanent failure.  Units that merely shared
+        the pool with a culprit are never charged.
         """
         from repro.execution.engine import _UnitOutcome
 
         blob = pickle.dumps(tuple(units), protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(blob).hexdigest()
         size = chunk_size(len(pending), self.jobs)
-        chunks: list[list[int]] = [
-            [index for index, _ in pending[at : at + size]]
+        units_at = dict(pending)
+        # Unfinished chunks of unit indices, keyed by their first index.
+        todo: dict[int, list[int]] = {
+            pending[at][0]: [index for index, _ in pending[at : at + size]]
             for at in range(0, len(pending), size)
-        ]
-        loads_by_pid: dict[int, int] = {}
-        remaining = list(range(len(chunks)))
-        while remaining:
-            pool = _get_pool(self.jobs, blob, digest)
+        }
+        # Pool breaks (crashes or stalls) each unit was in flight for.
+        breaks: dict[int, int] = {}
+        isolate = False
+        while todo:
+            pool = _get_pool(self.jobs)
+            batch = list(todo)[:1] if isolate else list(todo)
             futures = {}
-            for chunk_id in remaining:
-                positions = chunks[chunk_id]
-                futures[
-                    pool.submit(
-                        _run_chunk,
-                        positions,
-                        retries,
-                        backoff_s,
-                        [fast_flags.get(i, False) for i in positions],
-                        cache_dir,
-                        [keys[i] for i in positions],
-                        unit_timeout_s,
-                        max_backoff_s,
-                    )
-                ] = chunk_id
+            broken = False
+            try:
+                for first in batch:
+                    chunk = todo[first]
+                    futures[
+                        pool.submit(
+                            _run_chunk,
+                            [units_at[i] for i in chunk],
+                            digest,
+                            retries,
+                            backoff_s,
+                            [fast_flags.get(i, False) for i in chunk],
+                            cache_dir,
+                            [keys[i] for i in chunk],
+                            unit_timeout_s,
+                            max_backoff_s,
+                        )
+                    ] = first
+            except BrokenProcessPool:
+                # A worker died since the pool last ran.
+                broken = True
             deadline_s = None
             if unit_timeout_s is not None:
                 # Worst case for this round if every unit burns its full
                 # watchdog budget on every attempt, serialized over the
-                # worker count.  The in-worker watchdog keeps real runs
-                # far below this; only a wedged worker can reach it.
-                units_this_round = sum(len(chunks[cid]) for cid in remaining)
-                rounds = -(-units_this_round // self.jobs)  # ceil
+                # worker count (a chunk's units run on one worker).  The
+                # in-worker watchdog keeps real runs far below this; only
+                # a wedged worker can reach it.
+                units_this_round = sum(len(todo[first]) for first in batch)
+                rounds = max(
+                    -(-units_this_round // self.jobs),  # ceil
+                    max(len(todo[first]) for first in batch),
+                )
                 deadline_s = (
-                    unit_timeout_s * (retries + 2) * max(1, rounds)
-                    + DEADLINE_MARGIN_S
+                    unit_timeout_s * (retries + 2) * rounds + DEADLINE_MARGIN_S
                 )
             submitted_at = time.monotonic()
-            broken = False
             stalled = False
             not_done = set(futures)
-            while not_done:
+            while not_done and not broken:
                 done, not_done = wait(
                     not_done,
                     timeout=POLL_INTERVAL_S,
                     return_when=FIRST_COMPLETED,
                 )
                 for future in done:
-                    chunk_id = futures[future]
+                    first = futures[future]
                     try:
-                        pid, loads, results = future.result()
+                        loaded, outcomes = future.result()
                     except BrokenProcessPool:
                         broken = True
                         continue
-                    loads_by_pid[pid] = loads
-                    remaining.remove(chunk_id)
-                    yield results
+                    self.stats.state_loads += loaded
+                    yield list(zip(todo.pop(first), outcomes))
                 if broken:
                     break
                 if not_done and shutdown_requested():
@@ -308,15 +311,13 @@ class PersistentPoolExecutor:
                         if future.cancelled():
                             continue
                         try:
-                            pid, loads, results = future.result()
+                            loaded, outcomes = future.result()
                         except BrokenProcessPool:
                             continue
-                        loads_by_pid[pid] = loads
-                        remaining.remove(futures[future])
-                        yield results
-                    self.stats.state_loads = sum(loads_by_pid.values())
+                        self.stats.state_loads += loaded
+                        yield list(zip(todo.pop(futures[future]), outcomes))
                     shutdown_pool()
-                    unfinished = sum(len(chunks[cid]) for cid in remaining)
+                    unfinished = sum(len(chunk) for chunk in todo.values())
                     raise CampaignInterrupted(
                         f"shutdown requested: {unfinished} pooled units "
                         f"undispatched or unfinished after the {grace_s:g}s "
@@ -329,49 +330,58 @@ class PersistentPoolExecutor:
                 ):
                     stalled = True
                     break
-            if not remaining:
-                break
-            if broken or stalled:
-                shutdown_pool()
-                self.stats.rebuilds += 1
-                if on_rebuild is not None:
-                    # Observe-only incident hook (the live event bus):
-                    # a failing observer must not break the rebuild.
-                    try:
-                        on_rebuild(
-                            {
-                                "rebuilds": self.stats.rebuilds,
-                                "reason": "broken" if broken else "stalled",
-                            }
-                        )
-                    except Exception:
-                        pass
-                if self.stats.rebuilds > MAX_POOL_REBUILDS:
-                    if broken:
-                        error_type = "BrokenProcessPool"
-                        message = (
-                            "worker process died repeatedly; gave up "
-                            f"after {MAX_POOL_REBUILDS} pool rebuilds"
-                        )
-                    else:
-                        error_type = "PoolDeadlineExceeded"
-                        message = (
-                            "worker stalled past the dispatch deadline; "
-                            f"gave up after {MAX_POOL_REBUILDS} pool rebuilds"
-                        )
-                    for chunk_id in remaining:
-                        yield [
-                            (
-                                pos,
-                                _UnitOutcome(
-                                    payload=None,
-                                    attempts=1,
-                                    error_type=error_type,
-                                    message=message,
-                                    permanent=True,
-                                ),
-                            )
-                            for pos in chunks[chunk_id]
-                        ]
-                    return
-        self.stats.state_loads = sum(loads_by_pid.values())
+            if not (broken or stalled):
+                continue
+            shutdown_pool()
+            self.stats.rebuilds += 1
+            if on_rebuild is not None:
+                # Observe-only incident hook (the live event bus):
+                # a failing observer must not break the rebuild.
+                try:
+                    on_rebuild(
+                        {
+                            "rebuilds": self.stats.rebuilds,
+                            "reason": "broken" if broken else "stalled",
+                        }
+                    )
+                except Exception:
+                    pass
+            unfinished = [first for first in batch if first in todo]
+            for first in unfinished:
+                for index in todo[first]:
+                    breaks[index] = breaks.get(index, 0) + 1
+            if not isolate:
+                # Re-run everything unfinished one chunk at a time, so
+                # the next break names its culprit.
+                isolate = True
+                continue
+            # The one chunk in flight broke the pool alone.
+            (first,) = unfinished
+            if len(todo[first]) > 1:
+                todo = {index: [index] for index in todo.pop(first)} | todo
+            elif breaks[first] > MAX_POOL_REBUILDS:
+                del todo[first]
+                if broken:
+                    error_type = "BrokenProcessPool"
+                    message = (
+                        "worker process died repeatedly; gave up "
+                        f"after {MAX_POOL_REBUILDS} pool rebuilds"
+                    )
+                else:
+                    error_type = "PoolDeadlineExceeded"
+                    message = (
+                        "worker stalled past the dispatch deadline; "
+                        f"gave up after {MAX_POOL_REBUILDS} pool rebuilds"
+                    )
+                yield [
+                    (
+                        first,
+                        _UnitOutcome(
+                            payload=None,
+                            attempts=1,
+                            error_type=error_type,
+                            message=message,
+                            permanent=True,
+                        ),
+                    )
+                ]

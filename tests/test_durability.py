@@ -564,7 +564,16 @@ def _campaign(directory, *extra, capture=True):
         stdout=stream,
         stderr=stream,
         cwd=str(REPO),
+        start_new_session=True,
     )
+
+
+def _reap_group(proc):
+    """Kill the pool workers a SIGKILLed victim orphaned (its group)."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
 
 
 def _await_journal(directory, minimum=12, timeout=120.0):
@@ -624,6 +633,7 @@ class TestKillAndResume:
         _await_journal(directory)
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=120)
+        _reap_group(proc)
         assert proc.returncode == -signal.SIGKILL
         resumed = _campaign(directory, "--resume", "--jobs", "4")
         out, err = resumed.communicate(timeout=300)

@@ -750,7 +750,16 @@ def _live_campaign(directory, *extra, capture=True):
         stdout=stream,
         stderr=stream,
         cwd=str(REPO),
+        start_new_session=True,
     )
+
+
+def _reap_group(proc):
+    """Kill the pool workers a SIGKILLed victim orphaned (its group)."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
 
 
 def _await_stream(directory, minimum=8, timeout=120.0):
@@ -814,6 +823,7 @@ class TestKillMidFlight:
         _await_stream(directory)
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=120)
+        _reap_group(proc)
         assert proc.returncode == -signal.SIGKILL
         engine = self._assert_stream_agrees_with_journal(directory)
         assert not engine.finished  # no summary: the stream was torn
@@ -824,6 +834,7 @@ class TestKillMidFlight:
         _await_stream(directory)
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=120)
+        _reap_group(proc)
         assert proc.returncode == -signal.SIGKILL
         self._assert_stream_agrees_with_journal(directory)
 
