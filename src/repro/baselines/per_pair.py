@@ -16,11 +16,7 @@ from typing import Type
 
 from repro.core.dataset import ModelingDataset
 from repro.core.evaluate import ErrorReport, evaluate_model
-from repro.core.models import (
-    UnifiedPerformanceModel,
-    UnifiedPowerModel,
-    _UnifiedModel,
-)
+from repro.core.models import UnifiedPowerModel, _UnifiedModel
 
 
 @dataclass
@@ -72,8 +68,3 @@ class PerPairModelSuite:
 def power_suite(max_features: int = 10) -> PerPairModelSuite:
     """Convenience constructor for the Fig. 9 comparison."""
     return PerPairModelSuite(UnifiedPowerModel, max_features)
-
-
-def performance_suite(max_features: int = 10) -> PerPairModelSuite:
-    """Convenience constructor for the Fig. 10 comparison."""
-    return PerPairModelSuite(UnifiedPerformanceModel, max_features)

@@ -3,18 +3,16 @@
 The paper's footnote: *"We do not show what counters are classified into
 which group because of space limitations."*  This module publishes the
 full classification for every architecture — queryable programmatically
-and exportable as Markdown — closing that gap for downstream users who
-want to audit or reuse the core-event/memory-event split of Eqs. 1/2.
+(``docs/COUNTERS.md`` renders it) — closing that gap for downstream
+users who want to audit or reuse the core-event/memory-event split of
+Eqs. 1/2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.counters import Counter, CounterDomain, counter_set
-
-#: Counter sets by architecture generation, with paper cardinalities.
-COUNTER_SET_NAMES: tuple[str, ...] = ("tesla", "fermi", "kepler", "gcn")
+from repro.engine.counters import CounterDomain, counter_set
 
 
 @dataclass(frozen=True)
@@ -52,47 +50,3 @@ def classify(set_name: str) -> CounterGroupSummary:
         core_events=core,
         memory_events=memory,
     )
-
-
-def domain_of(set_name: str, counter_name: str) -> CounterDomain:
-    """Domain of one counter (raises ``KeyError`` if absent)."""
-    for counter in counter_set(set_name):
-        if counter.name == counter_name:
-            return counter.domain
-    raise KeyError(
-        f"no counter {counter_name!r} in the {set_name!r} set"
-    )
-
-
-def classification_markdown() -> str:
-    """Render the full classification of every set as Markdown.
-
-    Used to generate ``docs/COUNTERS.md``.
-    """
-    lines: list[str] = [
-        "# Performance-counter classification",
-        "",
-        "Core-event counters multiply (power, Eq. 1) or divide",
-        "(performance, Eq. 2) by the *core* frequency; memory-event",
-        "counters by the *memory* frequency.  The paper omitted this",
-        "table for space; the reproduction publishes it in full.",
-        "",
-    ]
-    for set_name in COUNTER_SET_NAMES:
-        summary = classify(set_name)
-        lines.append(
-            f"## {set_name} ({summary.total} counters: "
-            f"{summary.n_core} core, {summary.n_memory} memory)"
-        )
-        lines.append("")
-        lines.append("### Core events")
-        lines.append("")
-        for name in summary.core_events:
-            lines.append(f"- `{name}`")
-        lines.append("")
-        lines.append("### Memory events")
-        lines.append("")
-        for name in summary.memory_events:
-            lines.append(f"- `{name}`")
-        lines.append("")
-    return "\n".join(lines)

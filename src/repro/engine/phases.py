@@ -5,55 +5,58 @@ and memory-dominated stretches.  This module derives a phase profile for
 the busy window from the run's own timing decomposition — the
 compute-side and memory-side times and their power levels — such that
 
-* the phase durations sum exactly to the busy time, and
-* the time-weighted mean power equals exactly the run's average active
-  power (so every energy figure is preserved by construction).
+* the phase durations sum to the busy time, and
+* the time-weighted mean power equals the run's average active power
+  (so every energy figure is preserved by construction).
 
 The wall meter then sees a physically-shaped ripple, which is what the
 trace-segmentation tooling (``repro.analysis.traces``) gets to analyze.
+The profile is computed for a whole grid of runs at once, one array
+expression per step (:func:`busy_phase_columns`); a grid of one runs
+the same expressions over Python floats (:data:`SCALAR`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from types import SimpleNamespace
 
-from repro.engine.simulator import RunRecord
+import numpy as np
+
+#: Repetitions of the (compute stretch, memory stretch) pattern in one
+#: busy window.
+BURSTS = 3
+
+#: The functions a grid of one computes its columns with: builtins over
+#: Python floats, about a microsecond cheaper per step than numpy, and
+#: equal to numpy's with the column first, NaN included
+#: (tests/test_window_numerics.py pins this).
+SCALAR = SimpleNamespace(maximum=max, minimum=min, ceil=math.ceil)
 
 
-@dataclass(frozen=True)
-class BusyPhase:
-    """One stretch of the busy window."""
+def busy_phase_columns(
+    busy_s: np.ndarray,
+    t_compute: np.ndarray,
+    t_memory: np.ndarray,
+    mean_watts: np.ndarray,
+    xp=np,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Derive the busy windows' phase structure from per-run columns.
 
-    duration_s: float
-    watts: float
-    #: ``"compute"`` or ``"memory"`` dominated.
-    kind: str
-
-
-def busy_phase_profile(
-    record: RunRecord, mean_watts: float, bursts: int = 3
-) -> list[BusyPhase]:
-    """Derive the busy window's phase structure from the run record.
-
-    The window is split into ``bursts`` repetitions of a
-    (compute-stretch, memory-stretch) pattern whose duration split
-    follows the run's ``t_compute``/``t_memory`` decomposition and whose
-    power levels reflect which side dominates: compute stretches run the
-    ALUs hot with the memory interface partly idle, and vice versa.
-
-    Power levels are chosen around ``mean_watts`` with an exact
-    time-weighted mean of ``mean_watts``.  Every repeat of a run has the
-    same phases, so the meter window
-    (:func:`repro.instruments.testbed.wall_profile`) derives them once
-    per cell and tiles them.
+    A busy window is :data:`BURSTS` repetitions of a (compute stretch,
+    memory stretch) pattern whose duration split follows the run's
+    ``t_compute``/``t_memory`` decomposition and whose power levels
+    reflect which side dominates: compute stretches run the ALUs hot
+    with the memory interface partly idle, and vice versa.  Levels have
+    a time-weighted mean of ``mean_watts``, floored at 1 W.  Returns
+    ``(compute_s, memory_s, compute_w, memory_w)`` of one burst.  Each
+    step is elementwise with ``xp``'s functions (numpy, or
+    :data:`SCALAR` over one run's floats).  Runs with ``busy_s <= 0``
+    or ``t_compute + t_memory == 0`` get meaningless entries (over
+    floats, the latter raises).
     """
-    total = record.gpu_busy_seconds
-    if total <= 0:
-        return []
-    t_c = record.timing.t_compute
-    t_m = record.timing.t_memory
-    share_c = t_c / (t_c + t_m)
-    share_c = min(max(share_c, 0.02), 0.98)
+    share_c = t_compute / (t_compute + t_memory)
+    share_c = xp.minimum(xp.maximum(share_c, 0.02), 0.98)
 
     # Contrast between the two phase kinds grows with how unbalanced the
     # kernel is; a perfectly balanced kernel shows almost no ripple.
@@ -64,21 +67,10 @@ def busy_phase_profile(
     dc = contrast * (1.0 - share_c)
     dm = -contrast * share_c
 
-    per_burst = total / bursts
-    phases: list[BusyPhase] = []
-    for _ in range(bursts):
-        phases.append(
-            BusyPhase(
-                duration_s=per_burst * share_c,
-                watts=max(mean_watts + dc, 1.0),
-                kind="compute",
-            )
-        )
-        phases.append(
-            BusyPhase(
-                duration_s=per_burst * (1.0 - share_c),
-                watts=max(mean_watts + dm, 1.0),
-                kind="memory",
-            )
-        )
-    return phases
+    per_burst = busy_s / BURSTS
+    return (
+        per_burst * share_c,
+        per_burst * (1.0 - share_c),
+        xp.maximum(mean_watts + dc, 1.0),
+        xp.maximum(mean_watts + dm, 1.0),
+    )

@@ -7,11 +7,12 @@ counters, and realizes the unit's fault plan.  When the batch runs *without*
 telemetry — every timed bench invocation, every plain ``sweep.run`` /
 ``dataset.build`` call — that bookkeeping is pure overhead, and the
 unit's payload is a deterministic function of (unit spec, seed).  This
-module is the columnar path: it computes the same payload from the
-same per-cell code with vectorized stream seeding and per-cell
-memoization (:func:`~repro.instruments.batch.shared_batch_measurer`),
-and only chooses where the measurements and counter totals come from —
-the unit builds its own payload document.
+module is the columnar path: :func:`prepare_units` vector-seeds the
+streams of a list of units and measures each card's meter windows as
+one grid (:func:`~repro.instruments.batch.shared_batch_measurer`), and
+:func:`evaluate_fast` computes each unit's payload from the memoized
+cells.  It only chooses where the measurements and counter totals come
+from — the unit builds its own payload document.
 
 Scope and safety:
 
@@ -46,12 +47,15 @@ def is_batchable(unit: WorkUnit) -> bool:
 
 
 def prepare_units(units: "list[WorkUnit]") -> None:
-    """Vector-seed every stream a list of batchable units will draw.
+    """Vector-seed and measure every cell a list of batchable units reads.
 
-    Best-effort: units whose streams cannot be enumerated (e.g. an
-    invalid frequency pair) are skipped here and surface their error
-    when evaluated.
+    Each measurer's cells are measured as one columnar grid
+    (:meth:`BatchMeasurer.prepare`), so :func:`evaluate_fast` then
+    reads memos.  Best-effort: units whose cells cannot be enumerated
+    (e.g. an invalid frequency pair), and cells that cannot be
+    measured, are skipped here and surface their error when evaluated.
     """
+    run_cells: dict[int, tuple[BatchMeasurer, list]] = {}
     measure_cells: dict[int, tuple[BatchMeasurer, list]] = {}
     profile_cells: dict[tuple[int, int | None], tuple[BatchMeasurer, list]] = {}
     for unit in units:
@@ -75,15 +79,14 @@ def prepare_units(units: "list[WorkUnit]") -> None:
                     (unit.kernel, unit.scale, op)
                     for op in unit._operating_points()
                 ]
-                cells.append(
-                    (unit.kernel, unit.scale, unit.gpu.operating_point("H-H"))
-                )
+                # The profiler reads the H-H run, measured or not.
+                hh = (unit.kernel, unit.scale, unit.gpu.operating_point("H-H"))
+                run_cells.setdefault(id(measurer), (measurer, []))[1].append(hh)
         except Exception:
             continue
-        entry = measure_cells.get(id(measurer))
-        if entry is None:
-            entry = measure_cells[id(measurer)] = (measurer, [])
-        entry[1].extend(cells)
+        measure_cells.setdefault(id(measurer), (measurer, []))[1].extend(cells)
+    for measurer, cells in run_cells.values():
+        measurer.sim.prepare(cells)
     for measurer, cells in measure_cells.values():
         measurer.prepare(cells)
     for (_, profiler_seed), (measurer, cells) in profile_cells.items():

@@ -58,12 +58,3 @@ def performance_model(
     """Fitted unified performance model (Eq. 2) of one card."""
     model = UnifiedPerformanceModel(max_features=max_features)
     return model.fit(dataset(gpu_name, seed))
-
-
-def clear_caches() -> None:
-    """Drop all memoized sweeps/datasets/models (tests)."""
-    run_context.cache_clear()
-    sweep_table.cache_clear()
-    dataset.cache_clear()
-    power_model.cache_clear()
-    performance_model.cache_clear()

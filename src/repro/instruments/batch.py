@@ -1,16 +1,15 @@
 """Batch measurement: whole (benchmark x frequency-pair) grids per call.
 
-:class:`BatchMeasurer` evaluates the instruments' per-cell code
-columnarly.  A grid cell's measurement is the window
-:class:`Testbed` records (``repeats_for``, ``wall_profile``,
-``window_stream_coords``, ``host_factor``, ``Measurement.of``) and its
-counter totals are
-:func:`~repro.instruments.profiler.counter_totals`, as for
-:class:`~repro.instruments.profiler.CudaProfiler` — but with stream
-seeding and first draws vectorized across the grid
-(:class:`~repro.rng.StreamBank`; only the meter's sample-noise draw
-needs a real generator) and every cell memoized, so warm grids cost
-dictionary lookups.
+:class:`BatchMeasurer` evaluates the instruments' cells for a whole
+grid.  :meth:`BatchMeasurer.prepare` vector-seeds every stream a grid
+draws (:class:`~repro.rng.StreamBank`; only the meter's sample-noise
+draws need a real generator) and measures the grid's meter windows in
+one columnar pass (:func:`~repro.instruments.testbed.measure_windows`,
+the window :class:`Testbed` measures as a grid of one).  Counter totals
+are :func:`~repro.instruments.profiler.counter_totals`, as for
+:class:`~repro.instruments.profiler.CudaProfiler`.  Every cell is
+memoized, so measuring a prepared cell, and re-evaluating a warm grid,
+cost dictionary lookups.
 
 Fault injection is deliberately out of scope: injected faults are
 per-attempt, stateful, and rare, so faulty units keep the scalar path
@@ -29,8 +28,7 @@ from repro.instruments.profiler import counter_totals, profile_stream_coords
 from repro.instruments.testbed import (
     Measurement,
     host_factor,
-    repeats_for,
-    wall_profile,
+    measure_windows,
     window_stream_coords,
 )
 from repro.kernels.profile import KernelSpec
@@ -79,13 +77,30 @@ class BatchMeasurer:
     # ------------------------------------------------------------------
 
     def prepare(self, cells: "list[tuple[KernelSpec, float, OperatingPoint]]") -> None:
-        """Vector-seed every stream the given measurement cells draw."""
+        """Vector-seed the streams of a grid's cells, then measure it.
+
+        The unmemoized cells are measured as one columnar grid.  A cell
+        that cannot be measured is left out; measuring it raises.
+        """
         self.sim.prepare(cells)
-        coords: list[tuple] = []
-        for kernel, scale, op in cells:
-            if self._measure_key(kernel, scale, op) not in self._measurements:
-                coords.extend(window_stream_coords(self.gpu, kernel, scale, op))
-        self.sim.streams.prepare(coords)
+        pending = {}
+        for cell in cells:
+            key = self._measure_key(*cell)
+            if key not in self._measurements:
+                pending[key] = cell
+        if not pending:
+            return
+        grid = list(pending.values())
+        self.sim.streams.prepare(
+            [c for cell in grid for c in window_stream_coords(self.gpu, *cell)]
+        )
+        try:
+            windows = self._windows(grid, [self.sim.record(*cell) for cell in grid])
+        except Exception:
+            return  # best-effort: each cell raises when measured alone
+        for key, m in zip(pending, windows):
+            if m is not None:
+                self._measurements[key] = m
 
     def prepare_profiles(
         self,
@@ -121,30 +136,36 @@ class BatchMeasurer:
         key = self._measure_key(kernel, scale, op)
         m = self._measurements.get(key)
         if m is None:
-            m = self._measurements[key] = self._do_measure(kernel, scale, op)
+            cell = (kernel, scale, op)
+            (m,) = self._windows([cell], [self.sim.record(*cell)])
+            self._measurements[key] = m
         return m
 
     def measure_grid(
         self, cells: "list[tuple[KernelSpec, float, OperatingPoint]]"
     ) -> list[Measurement]:
-        """Measure a whole grid: vector-seed once, then fill every cell."""
+        """Measure a whole grid: one columnar pass, then read every cell."""
         self.prepare(cells)
         return [self.measure(kernel, scale, op) for kernel, scale, op in cells]
 
-    def _do_measure(
-        self, kernel: KernelSpec, scale: float, op: OperatingPoint
-    ) -> Measurement:
-        record = self.sim.record(kernel, scale, op)
-        repeats = repeats_for(record)
-        host_at, meter_at = window_stream_coords(self.gpu, kernel, scale, op)
+    def _windows(self, cells: list, records: list) -> list:
+        """The meter windows of cells whose records are given."""
         streams = self.sim.streams
-        key = content_fingerprint(kernel)
-        factor = self._host_factors.get(key)
-        if factor is None:
-            factor = self._host_factors[key] = host_factor(streams.stream(*host_at))
-        profile = wall_profile(record, self.host, factor, repeats)
-        trace = self.meter.record(*profile, streams.stream(*meter_at))
-        return Measurement.of(record, trace, repeats)
+        coords = [window_stream_coords(self.gpu, *cell) for cell in cells]
+        factors = []
+        for (kernel, _, _), (host_at, _) in zip(cells, coords):
+            key = content_fingerprint(kernel)
+            factor = self._host_factors.get(key)
+            if factor is None:
+                factor = self._host_factors[key] = host_factor(streams.stream(*host_at))
+            factors.append(factor)
+        return measure_windows(
+            records,
+            factors,
+            self.host,
+            self.meter,
+            lambda i: streams.stream(*coords[i][1]),
+        )
 
     # ------------------------------------------------------------------
     # profiler (the counter totals of CudaProfiler.profile, fault-free)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class HostSystem:
@@ -42,8 +44,8 @@ class HostSystem:
         if self.idle_power_w <= 0 or self.active_power_w < self.idle_power_w:
             raise ValueError("host power must satisfy 0 < idle <= active")
 
-    def wall_power(self, dc_watts: float) -> float:
-        """Wall-outlet power for a given total DC load."""
-        if dc_watts < 0:
+    def wall_power(self, dc_watts):
+        """Wall-outlet power for a total DC load (elementwise over an array)."""
+        if np.count_nonzero(dc_watts < 0):
             raise ValueError(f"DC power must be non-negative, got {dc_watts}")
         return dc_watts / self.psu_efficiency

@@ -10,19 +10,24 @@ Reproduces the paper's measurement protocol end to end:
    and accumulates energy;
 4. the result is reported as execution time, average system power, and
    per-run energy — the quantities Figs. 1-4 are built from.
+
+The meter window (steps 2-4) is computed for a whole grid of runs at
+once (:func:`measure_windows`): profile columns, noiseless samples, then
+ADC noise and window statistics, each a few array expressions per grid
+or per block of samples.  :meth:`Testbed.measure` is a grid of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.arch.dvfs import ClockLevel, OperatingPoint, coerce_levels, pair_key
 from repro.arch.specs import GPUSpec
 from repro.engine.batch import content_fingerprint
-from repro.engine.phases import busy_phase_profile
+from repro.engine.phases import BURSTS, SCALAR, busy_phase_columns
 from repro.engine.simulator import GPUSimulator, RunRecord
 from repro.errors import MeasurementError
 from repro.instruments.host import HostSystem
@@ -36,44 +41,117 @@ from repro.telemetry.runtime import current_telemetry
 MIN_MEASURE_WINDOW_S = 0.5
 
 
-def repeats_for(record: RunRecord) -> int:
-    """Paper protocol: repeat the kernel until >= 500 ms of GPU work."""
-    busy = record.gpu_busy_seconds
-    if busy >= MIN_MEASURE_WINDOW_S:
-        return 1
-    return max(1, math.ceil(MIN_MEASURE_WINDOW_S / busy))
+class WindowProfiles(NamedTuple):
+    """Each cell's run, as :meth:`PowerMeter.sample` reads it.
 
-
-def wall_profile(
-    record: RunRecord, host: HostSystem, host_factor: float, repeats: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Piecewise-constant wall-power profile of the repeated run.
-
-    Returns ``(durations, watts)`` columns for :meth:`PowerMeter.record`.
-    ``host_factor`` scales host-side power, which depends on what the
-    benchmark's CPU code does (polling vs blocking sync, input
-    generation) — structure no GPU counter observes.  One run is an
-    optional host phase (CPU active, GPU idle: host work and PCIe
-    transfers) followed by the busy window's compute/memory stretches
-    (``engine.phases``); every repeat is identical, so one run is built
-    and tiled ``repeats`` times.
+    Columns ``first:last`` of a row hold the host phase (CPU active, GPU
+    idle), then :data:`~repro.engine.phases.BURSTS` (compute, memory)
+    stretches; the window repeats the run ``repeats`` times.
     """
-    host_phase_w = host.wall_power(
-        host.active_power_w * host_factor + record.gpu_idle_power_w
-    )
-    gpu_phase_w = host.wall_power(
-        host.idle_power_w * host_factor + record.gpu_active_power_w
-    )
-    busy = busy_phase_profile(record, gpu_phase_w)
-    durations = [p.duration_s for p in busy]
-    watts = [p.watts for p in busy]
-    if record.idle_seconds > 0:
-        durations.insert(0, record.idle_seconds)
-        watts.insert(0, host_phase_w)
+
+    durations: np.ndarray
+    watts: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    repeats: np.ndarray
+
+
+def window_profiles(
+    records: "list[RunRecord]", factors: "list[float]", host: HostSystem
+) -> WindowProfiles:
+    """Wall-power profile columns of a grid of runs.
+
+    ``factors[i]`` scales run ``i``'s host-side power, which depends on
+    what the benchmark's CPU code does (polling vs blocking sync, input
+    generation) — structure no GPU counter observes.  A grid is
+    evaluated over numpy columns; a grid of one evaluates the same
+    expressions over Python floats (:data:`~repro.engine.phases.SCALAR`)
+    and raises for a run it cannot profile (zero or NaN busy time,
+    negative DC power, no compute/memory split).  In a larger grid such
+    a run gets an empty row, which the meter leaves out.
+    """
+    if len(records) == 1:
+        busy, idle, t_c, t_m, idle_w, active_w = _window_inputs(records[0])
+        if not busy > 0:
+            t_c = t_m = 1.0  # no busy phases, so no split to compute
+        return _window_profiles(
+            SCALAR, host, busy, idle, t_c, t_m, idle_w, active_w, factors[0]
+        )
+    columns = np.array([_window_inputs(r) for r in records]).reshape(-1, 6)
+    busy, _, t_c, t_m, idle_w, active_w = columns.T
+    factor = np.array(factors, dtype=float)
+    with np.errstate(all="ignore"):
+        host_dc = host.active_power_w * factor + idle_w
+        gpu_dc = host.idle_power_w * factor + active_w
+        bad = (
+            ~np.isfinite(MIN_MEASURE_WINDOW_S / busy)
+            | (np.minimum(host_dc, gpu_dc) < 0)
+            | (busy > 0) & (t_c + t_m == 0)
+        )
+        # No busy time and no idle time: an empty run, at harmless values.
+        columns[bad] = (-1.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+        return _window_profiles(np, host, *columns.T, factor)
+
+
+def _window_inputs(record: RunRecord) -> tuple[float, ...]:
     return (
-        np.array(durations * repeats, dtype=float),
-        np.array(watts * repeats, dtype=float),
+        record.gpu_busy_seconds,
+        record.idle_seconds,
+        record.timing.t_compute,
+        record.timing.t_memory,
+        record.gpu_idle_power_w,
+        record.gpu_active_power_w,
     )
+
+
+def _window_profiles(xp, host, busy, idle, t_c, t_m, idle_w, active_w, factor):
+    """The profile expressions, with ``xp``'s functions.
+
+    Steps run in the order a single run's checks must fire in.
+    """
+    # Paper protocol: repeat the kernel until >= 500 ms of GPU work (a
+    # busy time of 500 ms or more has MIN / busy <= 1: one run).
+    repeats = xp.maximum(1, xp.ceil(MIN_MEASURE_WINDOW_S / busy))
+    host_w = host.wall_power(host.active_power_w * factor + idle_w)
+    gpu_w = host.wall_power(host.idle_power_w * factor + active_w)
+    compute_s, memory_s, compute_w, memory_w = busy_phase_columns(
+        busy, t_c, t_m, gpu_w, xp
+    )
+    durations = (idle,) + (compute_s, memory_s) * BURSTS
+    watts = (host_w,) + (compute_w, memory_w) * BURSTS
+    return WindowProfiles(
+        np.array(durations, dtype=float).reshape(len(durations), -1).T,
+        np.array(watts, dtype=float).reshape(len(watts), -1).T,
+        np.array(1 - (idle > 0), ndmin=1),
+        np.array(1 + 2 * BURSTS * (busy > 0), ndmin=1),
+        np.array(repeats, dtype=np.int64, ndmin=1),
+    )
+
+
+def measure_windows(
+    records: "list[RunRecord]",
+    factors: "list[float]",
+    host: HostSystem,
+    meter: PowerMeter,
+    noise_stream: Callable[[int], np.random.Generator],
+) -> "list[Measurement | None]":
+    """The fault-free meter windows of a grid of runs.
+
+    ``noise_stream(i)`` returns run ``i``'s meter-noise stream, drawn
+    from before the next call.  A run whose window cannot be measured
+    is ``None`` in a grid, and raises in a grid of one.
+    """
+    profiles = window_profiles(records, factors, host)
+    repeats = profiles.repeats.tolist()
+    out: "list[Measurement | None]" = [None] * len(records)
+    for cells, counts, noiseless in meter.sample(*profiles):
+        samples = meter.read(noiseless, map(noise_stream, cells), counts)
+        start = 0
+        for i, n in zip(cells, counts):
+            trace = PowerTrace(samples[start : start + n], meter.interval_s)
+            out[i] = Measurement.of(records[i], trace, repeats[i])
+            start += n
+    return out
 
 
 def window_stream_coords(
@@ -90,7 +168,7 @@ def host_factor(rng: np.random.Generator) -> float:
     """Draw a benchmark's host-power factor: unit median, CV 0.12.
 
     ``rng`` is the benchmark's host-power stream; the factor scales
-    host-side power in :func:`wall_profile`.
+    host-side power in :func:`window_profiles`.
     """
     return lognormal_factor(rng, 0.12)
 
@@ -126,15 +204,16 @@ class Measurement:
         degraded: bool = False,
     ) -> "Measurement":
         """The measurement a meter window of ``repeats`` runs yields."""
+        avg_power_w, window_energy_j = trace.window_stats()
         return cls(
             gpu=record.gpu,
             kernel=record.kernel,
             scale=record.scale,
             op=record.op,
             exec_seconds=record.total_seconds,
-            avg_power_w=trace.average_power_w,
+            avg_power_w=avg_power_w,
             # Per-run energy: the window holds `repeats` identical runs.
-            energy_j=trace.energy_j / repeats,
+            energy_j=window_energy_j / repeats,
             repeats=repeats,
             trace=trace,
             degraded=degraded,
@@ -256,11 +335,14 @@ class Testbed:
             benchmark=kernel.name,
         ) as window_span:
             record: RunRecord = self.sim.run(kernel, scale)
-            repeats = repeats_for(record)
             host_at, meter_at = window_stream_coords(self.gpu, kernel, scale, record.op)
             factor = host_factor(stream(*host_at, seed=self._seed))
-            profile = wall_profile(record, self.host, factor, repeats)
-            trace = self._record_with_quorum(record, kernel, scale, meter_at, profile)
+            profiles = window_profiles([record], [factor], self.host)
+            ((_, counts, noiseless),) = self.meter.sample(*profiles)
+            repeats = profiles.repeats.item(0)
+            trace = self._record_with_quorum(
+                record, kernel, scale, meter_at, noiseless, counts
+            )
             window_span.attrs["pair"] = record.op.key
             window_span.attrs["repeats"] = repeats
             telemetry.metrics.inc("meter.windows")
@@ -287,15 +369,17 @@ class Testbed:
         kernel: KernelSpec,
         scale: float,
         meter_at: tuple,
-        profile: tuple[np.ndarray, np.ndarray],
+        noiseless: np.ndarray,
+        counts: list[int],
     ) -> PowerTrace:
-        """Record the meter trace, re-measuring until the quorum holds.
+        """Read the window's samples, re-measuring until the quorum holds.
 
-        The first attempt draws from the same noise stream as a
-        fault-free measurement (byte-identical without faults);
-        re-measurements key an extra coordinate so each retry is an
-        independent deterministic draw of both ADC noise and injected
-        corruption.
+        Each attempt applies fresh ADC noise (and injected corruption)
+        to a copy of the noiseless samples.  The first attempt draws
+        from the same noise stream as a fault-free measurement
+        (byte-identical without faults); re-measurements key an extra
+        coordinate so each retry is an independent deterministic draw of
+        both ADC noise and injected corruption.
         """
         if self.injector is None:
             quorum, quorum_retries = 0, 0
@@ -309,7 +393,10 @@ class Testbed:
                 coords += ("re-measure", measure_attempt)
                 current_telemetry().metrics.inc("meter.re_measurements")
             rng = stream(*coords, seed=self._seed)
-            candidate = self.meter.record(*profile, rng)
+            candidate = PowerTrace(
+                samples=self.meter.read(noiseless, [rng], counts),
+                interval_s=self.meter.interval_s,
+            )
             if self.injector is not None:
                 samples, valid = self.injector.corrupt_samples(
                     candidate.samples,

@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import csv
 import io as _io
-import pathlib
 from typing import Iterable
 
-from repro.characterize.sweep import SweepTable
-from repro.core.dataset import ModelingDataset
 from repro.instruments.testbed import Measurement
 
 
@@ -57,63 +54,3 @@ def measurements_to_csv(
     if count == 0:
         raise ValueError("no measurements given")
     return buffer.getvalue()
-
-
-def sweep_to_csv(table: SweepTable) -> str:
-    """Render a full Section III sweep as CSV."""
-    flat = [
-        m
-        for pairs in table.measurements.values()
-        for m in pairs.values()
-    ]
-    return measurements_to_csv(flat)
-
-
-def dataset_to_csv(dataset: ModelingDataset) -> str:
-    """Render a modeling dataset as CSV (one row per observation).
-
-    Counter columns come after the measured targets, in the dataset's
-    counter order.
-    """
-    if dataset.n_observations == 0:
-        raise ValueError("empty dataset")
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        [
-            "benchmark",
-            "suite",
-            "scale",
-            "pair",
-            "core_mhz",
-            "mem_mhz",
-            "exec_seconds",
-            "avg_power_w",
-            "energy_j",
-            *dataset.counter_names,
-        ]
-    )
-    for o in dataset.observations:
-        writer.writerow(
-            [
-                o.benchmark,
-                o.suite,
-                o.scale,
-                o.op.key,
-                o.op.core_mhz,
-                o.op.mem_mhz,
-                f"{o.exec_seconds:.6f}",
-                f"{o.avg_power_w:.3f}",
-                f"{o.energy_j:.3f}",
-                *(f"{o.counters[n]:.6g}" for n in dataset.counter_names),
-            ]
-        )
-    return buffer.getvalue()
-
-
-def write_csv(text: str, path: str | pathlib.Path) -> pathlib.Path:
-    """Write CSV text to a file, returning the path."""
-    target = pathlib.Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(text, encoding="utf-8")
-    return target

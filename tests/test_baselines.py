@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.hong_kim import HongKimModel, tune_on_gpu
-from repro.baselines.per_pair import (
-    performance_suite,
-    power_suite,
-)
+from repro.baselines.per_pair import PerPairModelSuite, power_suite
+from repro.core.models import UnifiedPerformanceModel
 from repro.errors import ModelNotFittedError
 from repro.kernels.suites import modeling_benchmarks
 
@@ -40,7 +38,7 @@ class TestPerPairSuite:
         assert mean_per_pair <= unified * 1.2
 
     def test_evaluate_before_fit_raises(self, dataset480):
-        suite = performance_suite()
+        suite = PerPairModelSuite(UnifiedPerformanceModel)
         with pytest.raises(RuntimeError):
             suite.evaluate(dataset480)
 

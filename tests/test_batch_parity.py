@@ -9,6 +9,9 @@ their noise generators come from and whether they memoize.  Checked:
   scalar ``set_clocks`` + ``run`` / ``measure`` protocol, and that a
   prepared grid evaluates without seeding any stream it did not prepare
   or writing generator state for a draw the bank's columns answer,
+* the columnar meter window (``measure_windows``) vs ``Testbed.measure``
+  over hypothesis grids of synthetic runs, and a rejected cell's
+  exception vs measuring it alone,
 * ``evaluate_fast`` vs ``WorkUnit.execute`` payloads — including a
   hypothesis sweep over random synthetic-kernel grids, because payload
   equality must hold for *any* workload, not just the curated 37.
@@ -19,6 +22,8 @@ from __future__ import annotations
 import json
 import math
 import pickle
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,8 +34,16 @@ from repro.engine.batch import BatchSimulator
 from repro.engine.simulator import GPUSimulator
 from repro.execution.batch import evaluate_fast, is_batchable, prepare_units
 from repro.execution.units import DatasetUnit, SweepUnit, dataset_units, sweep_units
+from repro.errors import MeasurementError
 from repro.instruments.batch import BatchMeasurer, shared_batch_measurer
-from repro.instruments.testbed import Testbed
+from repro.instruments.host import HostSystem
+from repro.instruments.powermeter import PowerMeter
+from repro.instruments.testbed import (
+    Testbed,
+    host_factor,
+    measure_windows,
+    window_stream_coords,
+)
 from repro.kernels.suites import all_benchmarks, get_benchmark
 from repro.kernels.synthetic import generate_kernel
 from repro.rng import StreamBank, seed_state_words, stream
@@ -169,7 +182,6 @@ class TestGridParity:
         gpu = get_gpu("GTX 680")
         seed = 180_417  # a seed no other test measures, so nothing is memoized
         units = dataset_units(gpu, all_benchmarks(), seed=seed)
-        prepare_units(units)
         written = []
         materialize = StreamBank._materialize
 
@@ -178,6 +190,9 @@ class TestGridParity:
             return materialize(bank, lane, drawn)
 
         monkeypatch.setattr(StreamBank, "_materialize", spy)
+        # The meter windows are drawn while preparing, so the spy covers
+        # both calls.
+        prepare_units(units)
         for unit in units:
             evaluate_fast(unit)
         labels = {}
@@ -191,6 +206,153 @@ class TestGridParity:
             else:
                 assert math.isnan(bank._normal[lane])
         assert meter == len(shared_batch_measurer(gpu, seed)._measurements) > 100
+
+
+_BASE = GPUSimulator(get_gpu("GTX 480")).run(get_benchmark("kmeans"), 0.25)
+
+
+def _run(index, busy, idle, t_c=0.4, t_m=0.6, active_w=150.0, idle_w=25.0):
+    """A synthetic run of ``busy`` s GPU-busy and ``idle`` s GPU-idle time.
+
+    ``index`` names the cell (its scale), so each cell draws its own
+    meter noise.
+    """
+    return replace(
+        _BASE,
+        scale=float(index + 1),
+        work=replace(_BASE.work, host_seconds=0.0),
+        timing=replace(
+            _BASE.timing, t_launch=0.0, t_transfer=idle, t_compute=t_c, t_memory=t_m
+        ),
+        kernel_seconds=busy,
+        overhead_seconds=0.0,
+        gpu_active_power_w=active_w,
+        gpu_idle_power_w=idle_w,
+    )
+
+
+def _window_grid(records, seed=None):
+    """``measure_windows`` over records, with ``Testbed.measure``'s streams."""
+    coords = [
+        window_stream_coords(r.gpu, r.kernel, r.scale, r.op) for r in records
+    ]
+    factors = [host_factor(stream(*host_at, seed=seed)) for host_at, _ in coords]
+    return measure_windows(
+        records,
+        factors,
+        HostSystem(),
+        PowerMeter(),
+        lambda i: stream(*coords[i][1], seed=seed),
+    )
+
+
+def _testbed_measure(record, seed=None):
+    """``Testbed.measure`` of a cell whose run is ``record``."""
+    bed = Testbed(record.gpu, seed=seed)
+    with mock.patch.object(bed.sim, "run", return_value=record):
+        return bed.measure(record.kernel, record.scale)
+
+
+def _same_measurement(a, b) -> bool:
+    return (
+        a.trace.samples.tobytes() == b.trace.samples.tobytes()
+        and a.avg_power_w == b.avg_power_w
+        and a.energy_j == b.energy_j
+        and a.repeats == b.repeats
+        and a.exec_seconds == b.exec_seconds
+    )
+
+
+busy_times = st.one_of(
+    st.floats(min_value=0.0009, max_value=0.5),  # repeated: up to 556 runs
+    st.floats(min_value=0.5, max_value=700.0),  # one run, up to 14,000 samples
+)
+window_cells = st.tuples(
+    busy_times,
+    st.one_of(st.just(0.0), st.floats(min_value=0.001, max_value=3.0)),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=5.0, max_value=300.0),
+    st.floats(min_value=5.0, max_value=60.0),
+)
+
+
+class TestColumnarWindow:
+    @settings(max_examples=15, deadline=None)
+    @given(cells=st.lists(window_cells, min_size=1, max_size=6), seed=seeds)
+    # A repeated run with no host phase (556 repeats), a 12,847-sample
+    # window, and an ordinary cell.
+    @example(
+        cells=[
+            (0.0009, 0.0, 0.3, 180.0, 20.0),
+            (642.0, 0.375, 0.9, 90.0, 30.0),
+            (0.2, 0.15, 0.5, 120.0, 25.0),
+        ],
+        seed=None,
+    )
+    def test_grid_matches_testbed_measure(self, cells, seed):
+        records = [
+            _run(i, busy, idle, share, 1.0 - share, active_w, idle_w)
+            for i, (busy, idle, share, active_w, idle_w) in enumerate(cells)
+        ]
+        for record, m in zip(records, _window_grid(records, seed)):
+            assert _same_measurement(m, _testbed_measure(record, seed))
+
+    def test_example_grid_covers_the_window_shapes(self):
+        records = [_run(0, 0.0009, 0.0), _run(1, 642.0, 0.375)]
+        short, long = _window_grid(records)
+        assert short.repeats > 500 and records[0].idle_seconds == 0
+        assert long.trace.num_samples == 12_847
+
+    GOOD = (_run(0, 0.2, 0.15), _run(2, 1.3, 0.0, t_c=0.9, t_m=0.1))
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ({"busy": 0.0, "idle": 0.2}, ZeroDivisionError),  # zero busy time
+            ({"busy": 0.3, "idle": 0.2, "idle_w": -500.0}, ValueError),  # DC < 0
+            ({"busy": -1.0, "idle": 0.01}, MeasurementError),  # < one sample
+            ({"busy": 0.3, "idle": 0.2, "t_c": 0.0, "t_m": 0.0}, ZeroDivisionError),
+        ],
+    )
+    def test_rejected_cell_leaves_the_grid(self, bad, error):
+        record = _run(1, **bad)
+        grid = _window_grid([self.GOOD[0], record, self.GOOD[1]])
+        alone = _window_grid(list(self.GOOD))
+        assert _same_measurement(grid[0], alone[0])
+        assert _same_measurement(grid[2], alone[1])
+        # Each kind's exception message, as measuring the cell alone gives it.
+        factor = host_factor(stream("host-power", _BASE.gpu.name, _BASE.kernel.name))
+        expected = {
+            ZeroDivisionError: "float division by zero",
+            ValueError: "DC power must be non-negative, got "
+            f"{HostSystem().active_power_w * factor + -500.0}",
+            MeasurementError: "profile of 10.0 ms shorter than one 50 ms "
+            "sample; repeat the workload",
+        }[error]
+        assert grid[1] is None
+        with pytest.raises(error) as info:
+            _testbed_measure(record)
+        assert type(info.value) is error and str(info.value) == expected
+
+    def test_negative_phase_leaves_the_meter_grid(self):
+        # A window's phases are never negative, so this kind is checked
+        # on the meter's grid of profiles.
+        durations = np.array([[0.2, 0.3], [0.2, -0.1], [0.5, 0.6]])
+        watts = np.array([[100.0, 200.0], [100.0, 200.0], [50.0, 80.0]])
+        meter = PowerMeter()
+
+        def sampled(*grid):
+            blocks = list(meter.sample(*grid))
+            cells = [i for block in blocks for i in block[0]]
+            return cells, np.concatenate([block[2] for block in blocks])
+
+        cells, samples = sampled(durations, watts, [0, 0, 0], [2, 2, 2], [3, 3, 3])
+        _, others = sampled(durations[[0, 2]], watts[[0, 2]], [0, 0], [2, 2], [3, 3])
+        assert cells == [0, 2] and samples.tobytes() == others.tobytes()
+        message = "phase duration must be >= 0, got -0.1"
+        with pytest.raises(ValueError) as info:
+            meter.record(np.tile(durations[1], 3), np.tile(watts[1], 3), stream("t"))
+        assert str(info.value) == message
 
 
 def _payloads_equal(scalar, fast) -> bool:

@@ -72,11 +72,3 @@ class TestContextCaching:
         a = context.power_model("GTX 460")
         b = context.power_model("GTX 460")
         assert a is b
-
-    def test_clear_caches_resets(self):
-        a = context.dataset("GTX 460")
-        context.clear_caches()
-        b = context.dataset("GTX 460")
-        assert a is not b
-        # Determinism: the rebuilt dataset is equal in content.
-        assert a.exec_seconds().tolist() == b.exec_seconds().tolist()

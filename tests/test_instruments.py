@@ -17,9 +17,8 @@ from repro.instruments.profiler import CudaProfiler
 from repro.instruments.testbed import (
     MIN_MEASURE_WINDOW_S,
     Testbed,
-    repeats_for,
     shared_testbed,
-    wall_profile,
+    window_profiles,
 )
 from repro.kernels.suites import get_benchmark
 from repro.rng import stream
@@ -126,25 +125,40 @@ class TestWallProfile:
     def _record(self, gpu_name, bench, scale):
         return GPUSimulator(get_gpu(gpu_name)).run(get_benchmark(bench), scale)
 
+    def _profile(self, record, factor):
+        """The window's profile columns, and its run as 1-d columns."""
+        profiles = window_profiles([record], [factor], HostSystem())
+        run = slice(profiles.first[0], profiles.last[0])
+        return (
+            profiles,
+            profiles.durations[0, run],
+            profiles.watts[0, run],
+            int(profiles.repeats[0]),
+        )
+
     def test_repeats_tile_one_run(self):
+        meter = PowerMeter(adc_noise_cv=0.0)
         for cell in self.CELLS:
             record = self._record(*cell)
-            repeats = repeats_for(record)
+            profiles, one_d, one_w, repeats = self._profile(record, 1.1)
             assert repeats > 1 and record.idle_seconds > 0
-            one_d, one_w = wall_profile(record, HostSystem(), 1.1, 1)
-            d, w = wall_profile(record, HostSystem(), 1.1, repeats)
             assert one_d[0] == record.idle_seconds
-            assert d.tolist() == one_d.tolist() * repeats
-            assert w.tolist() == one_w.tolist() * repeats
+            assert one_d.size == one_w.size == 7
+            ((_, _, samples),) = meter.sample(*profiles)
+            tiled = meter.record(
+                np.tile(one_d, repeats), np.tile(one_w, repeats), stream("t")
+            )
+            assert samples.tolist() == tiled.samples.tolist()
 
     def test_meter_matches_reference_loop(self):
         meter = PowerMeter(adc_noise_cv=0.0)
         for cell in self.CELLS:
             record = self._record(*cell)
-            d, w = wall_profile(record, HostSystem(), 0.9, repeats_for(record))
-            trace = meter.record(d, w, stream("t"))
+            profiles, one_d, one_w, repeats = self._profile(record, 0.9)
+            ((_, _, samples),) = meter.sample(*profiles)
+            d, w = np.tile(one_d, repeats), np.tile(one_w, repeats)
             expected = _reference_samples(d.tolist(), w.tolist(), meter.interval_s)
-            assert trace.samples.tolist() == expected
+            assert samples.tolist() == expected
 
 
 class TestProfiler:

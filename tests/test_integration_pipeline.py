@@ -6,13 +6,10 @@ downstream user would compose it — the seams the unit tests don't cover.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
 from repro import (
-    FrequencySweep,
     PowerPerformancePredictor,
     Testbed,
     UnifiedPerformanceModel,
@@ -87,30 +84,6 @@ class TestArchiveRestoreWorkflow:
         predictions = restored.predict(fresh)
         actual = fresh.exec_seconds()
         assert np.corrcoef(predictions, actual)[0, 1] > 0.5
-
-
-class TestSweepToCSVWorkflow:
-    def test_sweep_export_reimport(self, tmp_path):
-        import csv
-        import io as _io
-
-        from repro.io import sweep_to_csv, write_csv
-
-        gpu = get_gpu("GTX 680")
-        table = FrequencySweep(gpu).run(
-            [get_benchmark("nn"), get_benchmark("MAdd")], scale=0.05
-        )
-        path = write_csv(sweep_to_csv(table), tmp_path / "sweep.csv")
-        rows = list(csv.DictReader(_io.StringIO(path.read_text())))
-        assert len(rows) == 2 * len(gpu.operating_points())
-        # Energy ordering in the CSV matches the in-memory table.
-        nn_rows = [r for r in rows if r["benchmark"] == "nn"]
-        best_csv = min(nn_rows, key=lambda r: float(r["energy_j"]))["pair"]
-        best_mem = min(
-            table.measurements["nn"],
-            key=lambda k: table.measurements["nn"][k].energy_j,
-        )
-        assert best_csv == best_mem
 
 
 class TestCrossVendorWorkflow:

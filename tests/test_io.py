@@ -7,17 +7,9 @@ import io
 
 import pytest
 
-from repro.arch.specs import get_gpu
-from repro.characterize.sweep import FrequencySweep
-from repro.core.dataset import build_dataset
 from repro.instruments.testbed import Testbed
-from repro.io import (
-    dataset_to_csv,
-    measurements_to_csv,
-    sweep_to_csv,
-    write_csv,
-)
-from repro.kernels.suites import get_benchmark, modeling_benchmarks
+from repro.io import measurements_to_csv
+from repro.kernels.suites import get_benchmark
 
 
 def _parse(text: str) -> list[dict[str, str]]:
@@ -49,32 +41,3 @@ class TestMeasurementsCSV:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             measurements_to_csv([])
-
-
-class TestSweepAndDatasetCSV:
-    def test_sweep_csv_covers_all_pairs(self, gtx480):
-        sweep = FrequencySweep(gtx480).run([get_benchmark("nn")], scale=0.25)
-        rows = _parse(sweep_to_csv(sweep))
-        assert len(rows) == len(gtx480.operating_points())
-        assert {r["pair"] for r in rows} == {
-            op.key for op in gtx480.operating_points()
-        }
-
-    def test_dataset_csv_has_counter_columns(self):
-        ds = build_dataset(
-            get_gpu("GTX 460"),
-            benchmarks=modeling_benchmarks()[:2],
-            pairs=["H-H"],
-        )
-        rows = _parse(dataset_to_csv(ds))
-        assert len(rows) == ds.n_observations
-        for name in ds.counter_names[:5]:
-            assert name in rows[0]
-            assert float(rows[0][name]) >= 0
-
-    def test_write_csv_creates_parents(self, tmp_path, gtx480):
-        tb = Testbed(gtx480)
-        text = measurements_to_csv([tb.measure(get_benchmark("nn"), 0.25)])
-        target = write_csv(text, tmp_path / "deep" / "nested" / "out.csv")
-        assert target.exists()
-        assert target.read_text().startswith("gpu,")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.engine import noise
 from repro.engine.noise import lognormal_factor
 from repro.rng import stream
 
@@ -36,3 +37,27 @@ class TestLognormalFactor:
             [lognormal_factor(stream("s", i), 0.5) for i in range(500)]
         )
         assert large > small * 3
+
+
+cvs = st.floats(min_value=1e-6, max_value=5.0)
+
+
+class TestSigmaMemo:
+    @given(cvs)
+    def test_memoized_sigma_equals_the_expression(self, cv):
+        sigma = float(np.sqrt(np.log1p(cv**2)))
+        expected = float(np.exp(stream("memo", cv).normal(0.0, sigma)))
+        assert lognormal_factor(stream("memo", cv), cv) == expected
+        assert noise._sigma(cv) == sigma
+        # A memo hit draws the same factor.
+        assert lognormal_factor(stream("memo", cv), cv) == expected
+
+    @given(cvs)
+    def test_other_types_keep_the_inline_expression(self, cv):
+        value = np.float64(cv)
+        sigma = float(np.sqrt(np.log1p(value**2)))
+        expected = float(np.exp(stream("memo", cv).normal(0.0, sigma)))
+        before = noise._sigma.cache_info()
+        assert lognormal_factor(stream("memo", cv), value) == expected
+        after = noise._sigma.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)

@@ -5,12 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.phases import busy_phase_profile
+from repro.engine.phases import BURSTS, busy_phase_columns
 from repro.engine.simulator import GPUSimulator
 from repro.instruments.profiler import CudaProfiler
 from repro.instruments.testbed import Testbed
 from repro.kernels.suites import get_benchmark
 from repro.session import RunContext
+
+
+def busy_phase_profile(record, mean_watts):
+    """``(duration_s, watts, kind)`` of each busy-window phase of a run."""
+    compute_s, memory_s, compute_w, memory_w = (
+        column.item()
+        for column in busy_phase_columns(
+            np.array([record.gpu_busy_seconds]),
+            np.array([record.timing.t_compute]),
+            np.array([record.timing.t_memory]),
+            np.array([mean_watts]),
+        )
+    )
+    return [(compute_s, compute_w, "compute"), (memory_s, memory_w, "memory")] * BURSTS
 
 
 class TestBusyPhaseProfile:
@@ -20,14 +34,14 @@ class TestBusyPhaseProfile:
     def test_durations_sum_to_busy_window(self, gtx480):
         record = self._record(gtx480)
         phases = busy_phase_profile(record, 250.0)
-        assert sum(p.duration_s for p in phases) == pytest.approx(
+        assert sum(d for d, _, _ in phases) == pytest.approx(
             record.gpu_busy_seconds
         )
 
     def test_mean_power_preserved(self, gtx480):
         record = self._record(gtx480)
         phases = busy_phase_profile(record, 250.0)
-        weighted = sum(p.duration_s * p.watts for p in phases)
+        weighted = sum(d * w for d, w, _ in phases)
         assert weighted / record.gpu_busy_seconds == pytest.approx(
             250.0, rel=1e-9
         )
@@ -35,8 +49,8 @@ class TestBusyPhaseProfile:
     def test_compute_phases_hotter_for_compute_kernel(self, gtx480):
         record = self._record(gtx480, "backprop")
         phases = busy_phase_profile(record, 250.0)
-        compute = [p.watts for p in phases if p.kind == "compute"]
-        memory = [p.watts for p in phases if p.kind == "memory"]
+        compute = [w for _, w, kind in phases if kind == "compute"]
+        memory = [w for _, w, kind in phases if kind == "memory"]
         assert min(compute) > max(memory)
 
     def test_unbalanced_kernel_ripples_more(self, gtx480):
@@ -44,7 +58,7 @@ class TestBusyPhaseProfile:
         sc = busy_phase_profile(self._record(gtx480, "streamcluster"), 250.0)
 
         def ripple(phases):
-            watts = [p.watts for p in phases]
+            watts = [w for _, w, _ in phases]
             return max(watts) - min(watts)
 
         # Both are strongly one-sided; each must show clear ripple.

@@ -96,19 +96,3 @@ class TestCounterInfo:
             assert summary.n_core + summary.n_memory == total
             assert summary.n_core > 0 and summary.n_memory > 0
 
-    def test_domain_lookup(self):
-        from repro.engine.counter_info import domain_of
-        from repro.engine.counters import CounterDomain
-
-        assert domain_of("fermi", "inst_executed") is CounterDomain.CORE
-        assert domain_of("fermi", "gld_request") is CounterDomain.MEMORY
-        with pytest.raises(KeyError):
-            domain_of("fermi", "nonexistent")
-
-    def test_markdown_export(self):
-        from repro.engine.counter_info import classification_markdown
-
-        text = classification_markdown()
-        assert "## tesla (32 counters" in text
-        assert "## gcn (75 counters" in text
-        assert "`inst_executed`" in text
