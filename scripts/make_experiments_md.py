@@ -19,7 +19,7 @@ from repro.arch.specs import GPU_NAMES, all_gpus
 from repro.characterize.efficiency import characterize_benchmark, characterize_gpu
 from repro.core.evaluate import evaluate_model
 from repro.experiments import context
-from repro.experiments.registry import EXPERIMENTS, run
+from repro.experiments.registry import run
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 

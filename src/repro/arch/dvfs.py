@@ -62,7 +62,9 @@ class OperatingPoint:
     @property
     def key(self) -> str:
         """Compact name matching the paper's notation, e.g. ``"H-L"``."""
-        return f"{self.core_level.value}-{self.mem_level.value}"
+        # ``_value_`` skips the enum ``value`` descriptor: grids read
+        # this key several times per cell.
+        return f"{self.core_level._value_}-{self.mem_level._value_}"
 
     @property
     def levels(self) -> tuple[ClockLevel, ClockLevel]:
@@ -73,11 +75,6 @@ class OperatingPoint:
     def core_hz(self) -> float:
         """Core frequency in Hz."""
         return self.core_mhz * 1e6
-
-    @property
-    def mem_hz(self) -> float:
-        """Memory frequency in Hz."""
-        return self.mem_mhz * 1e6
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -26,11 +26,13 @@ class VoltageTable:
 
     def at(self, level: ClockLevel) -> float:
         """Voltage at a symbolic level."""
-        return {
-            ClockLevel.L: self.low,
-            ClockLevel.M: self.medium,
-            ClockLevel.H: self.high,
-        }[level]
+        if level is ClockLevel.H:
+            return self.high
+        if level is ClockLevel.M:
+            return self.medium
+        if level is ClockLevel.L:
+            return self.low
+        raise KeyError(level)
 
     def relative(self, level: ClockLevel) -> float:
         """Voltage normalized to the High level (used by the power model)."""

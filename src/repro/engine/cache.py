@@ -45,13 +45,6 @@ class CacheOutcome:
     l2_misses: float
 
     @property
-    def l1_hit_rate(self) -> float:
-        """L1 hit fraction of requested traffic."""
-        if self.requested_bytes == 0:
-            return 0.0
-        return self.l1_hit_bytes / self.requested_bytes
-
-    @property
     def dram_fraction(self) -> float:
         """Fraction of requested traffic that reached DRAM."""
         if self.requested_bytes == 0:

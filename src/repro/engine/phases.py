@@ -13,12 +13,15 @@ The wall meter then sees a physically-shaped ripple, which is what the
 trace-segmentation tooling (``repro.analysis.traces``) gets to analyze.
 The profile is computed for a whole grid of runs at once, one array
 expression per step (:func:`busy_phase_columns`); a grid of one runs
-the same expressions over Python floats (:data:`SCALAR`).
+the same expressions over Python floats (:data:`SCALAR`, the grid-of-one
+twin of :data:`COLUMNS`, which the engine's other column kernels use
+too).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,11 +30,69 @@ import numpy as np
 #: busy window.
 BURSTS = 3
 
-#: The functions a grid of one computes its columns with: builtins over
-#: Python floats, about a microsecond cheaper per step than numpy, and
-#: equal to numpy's with the column first, NaN included
+
+def _libm_pow(x, y) -> np.ndarray:
+    """``x ** y`` elementwise through libm ``pow``, as Python's ``**`` does.
+
+    ``np.power`` rounds differently in about 5 % of elements.  A lane
+    where ``**`` would raise (or go complex) reads NaN.
+    """
+
+    def pow_or_nan(a, b):
+        try:
+            return math.pow(a, b)
+        except (OverflowError, ValueError):
+            return math.nan
+
+    x, y = np.broadcast_arrays(x, y)
+    xs, ys = x.ravel().tolist(), y.ravel().tolist()
+    try:
+        out = list(map(math.pow, xs, ys))
+    except (OverflowError, ValueError):
+        out = list(map(pow_or_nan, xs, ys))
+    return np.array(out, dtype=float).reshape(x.shape)
+
+
+def _valid(ok, message):
+    if not ok:
+        raise ValueError(message)
+    return ok
+
+
+#: The functions a grid computes its columns with, elementwise:
+#: ``maximum``/``minimum`` take the column first and propagate NaN,
+#: ``fmax``/``fmin`` take the bound first and return it for NaN, and
+#: ``valid(ok, message)`` flags the lanes a grid of one rejects with
+#: ``ValueError(message)``.
+COLUMNS = SimpleNamespace(
+    maximum=np.maximum,
+    minimum=np.minimum,
+    fmax=np.fmax,
+    fmin=np.fmin,
+    ceil=np.ceil,
+    pow=_libm_pow,
+    where=np.where,
+    any=np.any,
+    not_=np.logical_not,
+    valid=lambda ok, message: ok,
+)
+
+#: The same functions for a grid of one: builtins over Python floats,
+#: about a microsecond cheaper per step than numpy, and equal to
+#: :data:`COLUMNS`' wherever a grid keeps a lane
 #: (tests/test_window_numerics.py pins this).
-SCALAR = SimpleNamespace(maximum=max, minimum=min, ceil=math.ceil)
+SCALAR = SimpleNamespace(
+    maximum=max,
+    minimum=min,
+    fmax=max,
+    fmin=min,
+    ceil=math.ceil,
+    pow=operator.pow,
+    where=lambda cond, a, b: a if cond else b,
+    any=bool,
+    not_=operator.not_,
+    valid=_valid,
+)
 
 
 def busy_phase_columns(
@@ -39,7 +100,7 @@ def busy_phase_columns(
     t_compute: np.ndarray,
     t_memory: np.ndarray,
     mean_watts: np.ndarray,
-    xp=np,
+    xp=COLUMNS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Derive the busy windows' phase structure from per-run columns.
 

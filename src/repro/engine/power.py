@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from repro.arch.dvfs import ClockLevel, OperatingPoint
 from repro.arch.specs import GPUSpec
 from repro.engine.cache import CacheOutcome
+from repro.engine.phases import SCALAR
 from repro.engine.timing import TimingBreakdown
 
 
@@ -46,17 +47,6 @@ class PowerBreakdown:
         )
 
 
-def _static_power(spec: GPUSpec, op: OperatingPoint) -> float:
-    v_rel = op.core_voltage / spec.core_vdd.at(ClockLevel.H)
-    return spec.power.board_static_w * v_rel**spec.power.leakage_exponent
-
-
-def _mem_background(spec: GPUSpec, op: OperatingPoint) -> float:
-    vm_rel = op.mem_voltage / spec.mem_vdd.at(ClockLevel.H)
-    fm_rel = op.mem_mhz / spec.mem_freq(ClockLevel.H)
-    return spec.power.mem_background_w * vm_rel**2 * fm_rel
-
-
 def idle_gpu_power(spec: GPUSpec, op: OperatingPoint) -> float:
     """Card power when booted at ``op`` but not running kernels.
 
@@ -66,11 +56,42 @@ def idle_gpu_power(spec: GPUSpec, op: OperatingPoint) -> float:
     leakage.  (This is why long host/transfer phases contribute energy
     that barely depends on the chosen frequency pair.)
     """
+    return point_terms(spec, op)[5]
+
+
+def point_terms(spec: GPUSpec, op: OperatingPoint) -> tuple:
+    """The per-point inputs of :func:`power_columns`, and the point's powers.
+
+    ``(v_rel ** 2, f_rel, vm_rel ** 2, static W, memory background W,
+    idle W)``.
+    """
+    power = spec.power
     v_rel = op.core_voltage / spec.core_vdd.at(ClockLevel.H)
     f_rel = op.core_mhz / spec.core_freq(ClockLevel.H)
-    clock_tree = 0.04 * spec.power.core_dyn_w * v_rel**2 * f_rel
-    gated_mem = 0.20 * _mem_background(spec, op)
-    return _static_power(spec, op) + gated_mem + clock_tree
+    vm_rel_2 = (op.mem_voltage / spec.mem_vdd.at(ClockLevel.H)) ** 2
+    static_w = power.board_static_w * v_rel**power.leakage_exponent
+    fm_rel = op.mem_mhz / spec.mem_freq(ClockLevel.H)
+    mem_background_w = power.mem_background_w * vm_rel_2 * fm_rel
+    # Idle: gated memory interface plus the core clock tree.
+    clock_tree = 0.04 * power.core_dyn_w * v_rel**2 * f_rel
+    idle_w = static_w + 0.20 * mem_background_w + clock_tree
+    return v_rel**2, f_rel, vm_rel_2, static_w, mem_background_w, idle_w
+
+
+def power_columns(t_compute, t_kernel, dram_bytes, v_rel_2, f_rel, vm_rel_2, spec, xp):
+    """``(core dynamic W, DRAM access W)`` of each run, elementwise.
+
+    The per-point inputs are :func:`point_terms`'; ``xp`` is
+    :data:`~repro.engine.phases.COLUMNS` or, for one run's floats,
+    :data:`~repro.engine.phases.SCALAR`.
+    """
+    # Zero-time lanes divide by 1.0 and then read 0.0, as one run's guard.
+    busy, positive = t_kernel != 0, t_kernel > 0
+    ratio = xp.fmin(1.0, t_compute / xp.where(busy, t_kernel, 1.0))
+    core_dyn = spec.power.core_dyn_w * xp.where(busy, ratio, 0.0) * v_rel_2 * f_rel
+    traffic = dram_bytes / 1e9 / xp.where(positive, t_kernel, 1.0)
+    traffic_gb_s = xp.where(positive, traffic, 0.0)
+    return core_dyn, spec.power.dram_access_j_per_gb * traffic_gb_s * vm_rel_2
 
 
 def simulate_power(
@@ -80,19 +101,15 @@ def simulate_power(
     op: OperatingPoint,
 ) -> PowerBreakdown:
     """Ground-truth card power while the kernel is executing."""
-    v_rel = op.core_voltage / spec.core_vdd.at(ClockLevel.H)
-    f_rel = op.core_mhz / spec.core_freq(ClockLevel.H)
-    vm_rel = op.mem_voltage / spec.mem_vdd.at(ClockLevel.H)
-    core_dyn = (
-        spec.power.core_dyn_w * timing.core_utilization * v_rel**2 * f_rel
+    v_rel_2, f_rel, vm_rel_2, static_w, mem_background_w, _ = point_terms(spec, op)
+    core_dyn, dram_access = power_columns(
+        timing.t_compute,
+        timing.t_kernel,
+        cache.dram_bytes,
+        v_rel_2,
+        f_rel,
+        vm_rel_2,
+        spec,
+        SCALAR,
     )
-    traffic_gb_s = (
-        cache.dram_bytes / 1e9 / timing.t_kernel if timing.t_kernel > 0 else 0.0
-    )
-    dram_access = spec.power.dram_access_j_per_gb * traffic_gb_s * vm_rel**2
-    return PowerBreakdown(
-        static_w=_static_power(spec, op),
-        core_dynamic_w=core_dyn,
-        mem_background_w=_mem_background(spec, op),
-        dram_access_w=dram_access,
-    )
+    return PowerBreakdown(static_w, core_dyn, mem_background_w, dram_access)

@@ -16,12 +16,13 @@ Run-to-run variation is injected here, deterministically:
   toggling the paper's linear power model cannot capture, which is what
   keeps its R-squared at the realistic levels of Table V.
 
-:func:`simulate_run` is the only implementation of a run.  Its two
-callers differ only in where the noise generators come from and in
-what they memoize: :meth:`GPUSimulator.run` seeds each stream with
-:func:`repro.rng.stream` and memoizes nothing;
-:class:`~repro.engine.batch.BatchSimulator` vector-seeds a whole grid
-and memoizes per cell.
+Each run is a closed form, computed for a whole grid at once by
+:func:`run_columns` (one array expression per step of the timing, power
+and thermal models).  :meth:`GPUSimulator.run` is a grid of one
+(:func:`simulate_run`): the same expressions over Python floats, with
+its five noise factors drawn from :func:`repro.rng.stream` generators.
+:class:`~repro.engine.batch.BatchSimulator` reads a grid's noise
+factors from vector-seeded columns and memoizes per cell.
 """
 
 from __future__ import annotations
@@ -37,9 +38,12 @@ from repro.arch.specs import GPUSpec
 from repro.engine.cache import CacheOutcome, simulate_cache
 from repro.engine.counters import RunContext
 from repro.engine.noise import lognormal_factor
-from repro.engine.power import PowerBreakdown, idle_gpu_power, simulate_power
-from repro.engine.thermal import solve_thermal
-from repro.engine.timing import TimingBreakdown, simulate_timing
+from repro.engine.phases import SCALAR
+from repro.engine.power import PowerBreakdown, power_columns
+from repro.engine.power import point_terms as power_point_terms
+from repro.engine.thermal import T_THROTTLE, thermal_columns, thermal_resistance
+from repro.engine.timing import TimingBreakdown, timing_columns, work_terms
+from repro.engine.timing import point_terms as timing_point_terms
 from repro.kernels.profile import KernelSpec, WorkProfile
 from repro.rng import stream
 
@@ -117,19 +121,23 @@ class RunRecord:
         )
 
 
-#: ``draw(*coords)`` returns the noise generator of one stream, or an
-#: object whose ``normal`` and ``uniform`` return what that generator's
-#: would (``StreamBank.stream``, which answers most first draws from
-#: precomputed columns).  It may reuse one object across calls, so each
-#: is drawn from before the next ``draw`` call.  (A string reference:
-#: evaluating ``np.random`` here would import it eagerly.)
+#: ``draw(*coords)`` returns the noise generator of one stream
+#: (``repro.rng.stream``, or ``StreamBank.stream``).  It may reuse one
+#: generator across calls, so each is drawn from before the next
+#: ``draw`` call.  (A string reference: evaluating ``np.random`` here
+#: would import it eagerly.)
 Draw = Callable[..., "np.random.Generator"]
 
 
 def run_stream_coords(
     spec: GPUSpec, kernel: KernelSpec, scale: float, op: OperatingPoint
 ) -> tuple[tuple, ...]:
-    """The five noise-stream coordinates one run draws, in draw order."""
+    """The five noise-stream coordinates one run draws, in draw order.
+
+    Timing jitter is per run; the CPI and power fixed effects are per
+    (card, benchmark), the driver overhead per (card, benchmark, scale)
+    and the power interaction per (card, benchmark, pair).
+    """
     g, k = spec.name, kernel.name
     return (
         ("timing-jitter", g, k, scale, op.key),
@@ -140,6 +148,113 @@ def run_stream_coords(
     )
 
 
+def run_noise_cvs(spec: GPUSpec, kernel: KernelSpec) -> tuple[float, ...]:
+    """The CVs of a run's four lognormal factors: jitter, CPI, fixed, pair.
+
+    Per-(GPU, benchmark) throughput idiosyncrasy is a fixed CPI effect
+    (partition camping, replay storms) no counter observes.  Unmodeled
+    power structure splits between a per-(GPU, benchmark) fixed effect
+    and a small per-(GPU, benchmark, pair) interaction — different
+    operating points excite different data paths.  The bulk is the
+    fixed effect, which cancels in energy ratios between pairs, so the
+    Section III characterization is unaffected.
+    """
+    traits = spec.traits
+    cv = traits.unmodeled_power_cv
+    return (traits.timing_jitter_cv, _cpi_cv(kernel, traits), cv * 0.9, cv * 0.10)
+
+
+def draw_run_noise(
+    spec: GPUSpec, kernel: KernelSpec, scale: float, op: OperatingPoint, draw: Draw
+) -> tuple[float, ...]:
+    """One run's five noise factors, drawn from ``draw``'s generators.
+
+    ``(jitter, cpi, overhead, fixed, interaction)``: four unit-median
+    lognormal factors (:func:`run_noise_cvs`) and the driver-overhead
+    multiplier, uniform on [0.25, 2.75).
+    """
+    jitter_at, cpi_at, overhead_at, fixed_at, pair_at = run_stream_coords(
+        spec, kernel, scale, op
+    )
+    jitter_cv, cpi_cv, fixed_cv, pair_cv = run_noise_cvs(spec, kernel)
+    return (
+        lognormal_factor(draw(*jitter_at), jitter_cv),
+        lognormal_factor(draw(*cpi_at), cpi_cv),
+        float(draw(*overhead_at).uniform(0.25, 2.75)),
+        lognormal_factor(draw(*fixed_at), fixed_cv),
+        lognormal_factor(draw(*pair_at), pair_cv),
+    )
+
+
+def run_columns(spec: GPUSpec, terms, points, noise, ambient_c: float, xp):
+    """The computed fields of each run's :class:`RunRecord`, elementwise.
+
+    ``terms`` are :func:`~repro.engine.timing.work_terms`, ``points``
+    :func:`pair_terms` and ``noise`` the five factors of
+    :func:`draw_run_noise`; each entry is a column, or one run's float
+    with ``xp`` :data:`~repro.engine.phases.SCALAR`.
+    Returns ``(t_compute, t_memory, t_kernel, core_dynamic_w,
+    dram_access_w, kernel_seconds, overhead_seconds, total_seconds,
+    active_w, die_c, valid)``; a lane that is not ``valid`` raises
+    ``ValueError`` in a grid of one.
+    """
+    ops, sched, occ_03, freq_exponent, dram_bytes, t_launch, t_transfer, t_host = terms
+    peak, issue_rel, mem_rel, v_rel_2, f_rel, vm_rel_2, static_w, mem_bg_w, _ = points
+    jitter, cpi, overhead, fixed, interaction = noise
+    t_compute, t_memory, t_kernel = timing_columns(
+        ops, sched, occ_03, freq_exponent, dram_bytes, peak, issue_rel, mem_rel,
+        spec, xp,
+    )
+    core_dyn, dram_access = power_columns(
+        t_compute, t_kernel, dram_bytes, v_rel_2, f_rel, vm_rel_2, spec, xp
+    )
+    dynamic = core_dyn + mem_bg_w + dram_access
+    # Temperature/leakage feedback: the static component grows with
+    # die temperature, which grows with total power (engine.thermal).
+    die_c, active_w, _, _, valid = thermal_columns(
+        thermal_resistance(spec),
+        dynamic * fixed * interaction,
+        static_w,
+        ambient_c,
+        xp,
+    )
+    # One-time driver/context/allocation overhead: benchmark- and
+    # size-specific, frequency-independent, counter-invisible.  The
+    # spread is wide but bounded (a driver never takes 10x longer to
+    # build a context), which is why this dominates the *percentage*
+    # error of short runs while leaving R-squared nearly untouched.
+    overhead_s = spec.traits.driver_overhead_s * overhead
+    kernel_seconds = t_kernel * jitter * cpi
+    total_seconds = kernel_seconds + t_launch + t_transfer + t_host + overhead_s
+    return (
+        t_compute, t_memory, t_kernel, core_dyn, dram_access, kernel_seconds,
+        overhead_s, total_seconds, active_w, die_c, valid,
+    )
+
+
+def run_record(
+    spec: GPUSpec,
+    op: OperatingPoint,
+    kernel: KernelSpec,
+    scale: float,
+    work: WorkProfile,
+    cache: CacheOutcome,
+    terms: tuple,
+    points: tuple,
+    values: tuple,
+) -> RunRecord:
+    """A run's record from its inputs and its floats of :func:`run_columns`."""
+    t_c, t_m, t_k, core_dyn, dram, kernel_s, overhead_s, total_s, active_w, die_c = (
+        values[:10]
+    )
+    timing = TimingBreakdown(t_c, t_m, t_k, *terms[5:])
+    power = PowerBreakdown(points[6], core_dyn, points[7], dram)
+    return RunRecord(
+        spec, kernel, scale, op, work, cache, timing, power, kernel_s, overhead_s,
+        total_s, active_w, points[8], die_c, die_c > T_THROTTLE,
+    )
+
+
 def simulate_run(
     spec: GPUSpec,
     op: OperatingPoint,
@@ -147,85 +262,24 @@ def simulate_run(
     scale: float,
     work: WorkProfile,
     cache: CacheOutcome,
-    idle_w: float,
-    draw: Draw,
+    noise: tuple[float, ...],
     ambient_c: float,
 ) -> RunRecord:
     """One run's ground truth: the physics plus its run-to-run noise.
 
-    ``work``, ``cache`` and ``idle_w`` are the pure per-(kernel, scale)
-    and per-point inputs (``kernel.work(scale)``, ``simulate_cache``,
-    ``idle_gpu_power``) so a caller may memoize them; ``draw`` supplies
-    the noise generators of :func:`run_stream_coords`.
+    A grid of one of :func:`run_columns`.  ``work`` and ``cache`` are
+    ``kernel.work(scale)`` and its ``simulate_cache``; ``noise`` is
+    :func:`draw_run_noise`'s five factors.
     """
-    timing = simulate_timing(work, cache, spec, op)
-    power = simulate_power(cache, timing, spec, op)
-    traits = spec.traits
-    jitter_at, cpi_at, overhead_at, fixed_at, pair_at = run_stream_coords(
-        spec, kernel, scale, op
-    )
-    jitter = lognormal_factor(draw(*jitter_at), traits.timing_jitter_cv)
+    terms = work_terms(work, cache, spec)
+    points = pair_terms(spec, op)
+    values = run_columns(spec, terms, points, noise, ambient_c, SCALAR)
+    return run_record(spec, op, kernel, scale, work, cache, terms, points, values)
 
-    # Per-(GPU, benchmark) throughput idiosyncrasy: a fixed CPI effect
-    # (partition camping, replay storms) no counter observes.  Long
-    # streaming workloads average hazards out; small irregular ones
-    # (divergent, uncoalesced) are the unpredictable tail that
-    # dominates the paper's percentage errors.
-    cpi = lognormal_factor(draw(*cpi_at), _cpi_cv(kernel, traits))
 
-    # One-time driver/context/allocation overhead: benchmark- and
-    # size-specific, frequency-independent, counter-invisible.  The
-    # spread is wide but bounded (a driver never takes 10x longer to
-    # build a context), which is why this dominates the *percentage*
-    # error of short runs while leaving R-squared nearly untouched.
-    overhead_s = traits.driver_overhead_s * float(
-        draw(*overhead_at).uniform(0.25, 2.75)
-    )
-
-    # Unmodeled power structure, split between a per-(GPU, benchmark)
-    # fixed effect and a per-(GPU, benchmark, pair) interaction —
-    # different operating points excite different data paths.  The
-    # bulk is the fixed effect (cancels in energy ratios between pairs,
-    # so the Section III characterization is unaffected); only a small
-    # residual varies across pairs.
-    cv = traits.unmodeled_power_cv
-    fixed = lognormal_factor(draw(*fixed_at), cv * 0.9)
-    interaction = lognormal_factor(draw(*pair_at), cv * 0.10)
-    dynamic = power.core_dynamic_w + power.mem_background_w + power.dram_access_w
-    # Temperature/leakage feedback: the static component grows with
-    # die temperature, which grows with total power (engine.thermal).
-    thermal = solve_thermal(
-        spec,
-        dynamic_w=dynamic * fixed * interaction,
-        static_w=power.static_w,
-        ambient_c=ambient_c,
-    )
-
-    kernel_seconds = timing.t_kernel * jitter * cpi
-    total_seconds = (
-        kernel_seconds
-        + timing.t_launch
-        + timing.t_transfer
-        + timing.t_host
-        + overhead_s
-    )
-    return RunRecord(
-        gpu=spec,
-        kernel=kernel,
-        scale=scale,
-        op=op,
-        work=work,
-        cache=cache,
-        timing=timing,
-        power=power,
-        kernel_seconds=kernel_seconds,
-        overhead_seconds=overhead_s,
-        total_seconds=total_seconds,
-        gpu_active_power_w=thermal.power_w,
-        gpu_idle_power_w=idle_w,
-        die_temp_c=thermal.die_c,
-        throttling=thermal.throttling,
-    )
+def pair_terms(spec: GPUSpec, op: OperatingPoint) -> tuple:
+    """A pair's timing then power ``point_terms``; idle W comes last."""
+    return timing_point_terms(spec, op) + power_point_terms(spec, op)
 
 
 class GPUSimulator:
@@ -286,7 +340,8 @@ class GPUSimulator:
             scale,
             work,
             simulate_cache(work, spec),
-            idle_gpu_power(spec, op),
-            lambda *coords: stream(*coords, seed=seed),
+            draw_run_noise(
+                spec, kernel, scale, op, lambda *coords: stream(*coords, seed=seed)
+            ),
             self.ambient_c,
         )

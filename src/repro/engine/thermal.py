@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.specs import GPUSpec
+from repro.engine.phases import SCALAR
 
 #: Ambient temperature the power coefficients are calibrated at (deg C).
 T_AMBIENT_CAL = 25.0
@@ -57,6 +58,43 @@ def thermal_resistance(spec: GPUSpec) -> float:
     return (T_REF - T_AMBIENT_CAL) / spec.tdp_w
 
 
+def thermal_columns(
+    r_th,
+    dynamic_w,
+    static_w,
+    ambient_c,
+    xp,
+    max_iterations: int = 50,
+    tolerance: float = 1e-6,
+):
+    """Fixed-point solve of each run's temperature/leakage feedback.
+
+    Elementwise over columns (:data:`~repro.engine.phases.COLUMNS`) or
+    one run's floats (:data:`~repro.engine.phases.SCALAR`).  Returns
+    ``(die_c, power_w, leakage_factor, iterations, valid)``; each lane
+    stops iterating where the one-run loop would.  A lane with negative
+    power is not ``valid`` (a single run raises ``ValueError``).
+    """
+    valid = xp.valid(
+        xp.not_((dynamic_w < 0) | (static_w < 0)),
+        "power components must be non-negative",
+    )
+    t = ambient_c + r_th * (dynamic_w + static_w)
+    iterations = max_iterations
+    active = valid
+    for i in range(1, max_iterations + 1):
+        factor = xp.fmax(0.1, 1.0 + LEAKAGE_PER_K * (t - T_REF))
+        t_new = ambient_c + r_th * (dynamic_w + static_w * factor)
+        done = active & (abs(t_new - t) < tolerance)
+        t = xp.where(active, t_new, t)
+        iterations = xp.where(done, i, iterations)
+        active = active ^ done
+        if not xp.any(active):
+            break
+    factor = xp.fmax(0.1, 1.0 + LEAKAGE_PER_K * (t - T_REF))
+    return t, dynamic_w + static_w * factor, factor, iterations, valid
+
+
 def solve_thermal(
     spec: GPUSpec,
     dynamic_w: float,
@@ -65,7 +103,7 @@ def solve_thermal(
     max_iterations: int = 50,
     tolerance: float = 1e-6,
 ) -> ThermalState:
-    """Fixed-point solve of the temperature/leakage feedback.
+    """Fixed-point solve of one run's temperature/leakage feedback.
 
     Parameters
     ----------
@@ -80,21 +118,15 @@ def solve_thermal(
     as ``R * static * LEAKAGE_PER_K < 1`` — true for every card here by
     a wide margin — so convergence is unconditional.
     """
-    if dynamic_w < 0 or static_w < 0:
-        raise ValueError("power components must be non-negative")
-    r_th = thermal_resistance(spec)
-    t = ambient_c + r_th * (dynamic_w + static_w)
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        factor = max(0.1, 1.0 + LEAKAGE_PER_K * (t - T_REF))
-        power = dynamic_w + static_w * factor
-        t_new = ambient_c + r_th * power
-        if abs(t_new - t) < tolerance:
-            t = t_new
-            break
-        t = t_new
-    factor = max(0.1, 1.0 + LEAKAGE_PER_K * (t - T_REF))
-    power = dynamic_w + static_w * factor
+    t, power, factor, iterations, _ = thermal_columns(
+        thermal_resistance(spec),
+        dynamic_w,
+        static_w,
+        ambient_c,
+        SCALAR,
+        max_iterations,
+        tolerance,
+    )
     return ThermalState(
         die_c=t,
         power_w=power,

@@ -21,6 +21,7 @@ from repro.arch.dvfs import ClockLevel, OperatingPoint
 from repro.arch.specs import GPUSpec
 from repro.engine.cache import CacheOutcome
 from repro.engine.occupancy import scheduler_efficiency
+from repro.engine.phases import SCALAR
 from repro.kernels.profile import WorkProfile
 
 #: Double-precision throughput penalty (consumer cards run DP at a small
@@ -96,6 +97,63 @@ def compute_work_ops(work: WorkProfile) -> float:
     )
 
 
+def work_terms(work: WorkProfile, cache: CacheOutcome, spec: GPUSpec) -> tuple:
+    """The per-(kernel, scale) inputs of :func:`timing_columns`.
+
+    ``(ops, sched, occupancy ** 0.3, DRAM frequency exponent,
+    DRAM bytes, t_launch, t_transfer, t_host)``.
+    """
+    traits = spec.traits
+    return (
+        compute_work_ops(work),
+        scheduler_efficiency(work.occupancy, work.divergence, traits),
+        work.occupancy**0.3,
+        # Streaming (coalesced) traffic scales linearly with the
+        # interface clock; scattered traffic is bound by CAS/row latency
+        # and only partially benefits from a faster interface, so its
+        # effective bandwidth scales sublinearly with memory frequency.
+        0.45 + 0.55 * work.coalescing,
+        cache.dram_bytes,
+        work.launches * traits.launch_overhead_s,
+        work.pcie_bytes / (traits.pcie_gb_s * 1e9),
+        work.host_seconds,
+    )
+
+
+def point_terms(spec: GPUSpec, op: OperatingPoint) -> tuple:
+    """The per-point inputs of :func:`timing_columns`.
+
+    ``(peak flops, request-issue bandwidth share, memory clock ratio)``.
+    """
+    core_rel = op.core_mhz / spec.core_freq(ClockLevel.H)
+    return (
+        spec.peak_flops(op),
+        ISSUE_BW_HEADROOM * core_rel,
+        op.mem_mhz / spec.mem_freq(ClockLevel.H),
+    )
+
+
+def timing_columns(
+    ops, sched, occ_03, freq_exponent, dram_bytes, peak, issue_rel, mem_rel, spec, xp
+):
+    """``(t_compute, t_memory, t_kernel)`` of each run, elementwise.
+
+    Columns (or, with :data:`~repro.engine.phases.SCALAR`, one run's
+    floats) of :func:`work_terms` and :func:`point_terms`.
+    """
+    t_compute = ops / (peak * sched)
+    # DRAM time is bound by the slower of the memory system itself and the
+    # rate at which the cores can put requests in flight (MWP-style limit:
+    # scales with core clock and, weakly, with occupancy).
+    bandwidth = spec.mem_bandwidth_gbs
+    issue_bw = issue_rel * occ_03 * bandwidth * 1e9
+    mem_bw = bandwidth * 1e9 * xp.pow(mem_rel, freq_exponent) * STREAM_EFFICIENCY
+    t_memory = dram_bytes / xp.minimum(mem_bw, issue_bw)
+    p = spec.traits.overlap_exponent
+    t_kernel = xp.pow(xp.pow(t_compute, p) + xp.pow(t_memory, p), 1.0 / p)
+    return t_compute, t_memory, t_kernel
+
+
 def simulate_timing(
     work: WorkProfile,
     cache: CacheOutcome,
@@ -103,38 +161,6 @@ def simulate_timing(
     op: OperatingPoint,
 ) -> TimingBreakdown:
     """Ground-truth timing of one run at one operating point."""
-    sched = scheduler_efficiency(work.occupancy, work.divergence, spec.traits)
-    t_compute = compute_work_ops(work) / (spec.peak_flops(op) * sched)
-    # DRAM time is bound by the slower of the memory system itself and the
-    # rate at which the cores can put requests in flight (MWP-style limit:
-    # scales with core clock and, weakly, with occupancy).
-    core_rel = op.core_mhz / spec.core_freq(ClockLevel.H)
-    issue_bw = (
-        ISSUE_BW_HEADROOM
-        * core_rel
-        * work.occupancy**0.3
-        * spec.mem_bandwidth_gbs
-        * 1e9
-    )
-    # Streaming (coalesced) traffic scales linearly with the interface
-    # clock; scattered traffic is bound by CAS/row latency and only
-    # partially benefits from a faster interface, so its effective
-    # bandwidth scales sublinearly with memory frequency.
-    mem_rel = op.mem_mhz / spec.mem_freq(ClockLevel.H)
-    freq_exponent = 0.45 + 0.55 * work.coalescing
-    mem_bw = (
-        spec.mem_bandwidth_gbs * 1e9 * mem_rel**freq_exponent * STREAM_EFFICIENCY
-    )
-    t_memory = cache.dram_bytes / min(mem_bw, issue_bw)
-    p = spec.traits.overlap_exponent
-    t_kernel = (t_compute**p + t_memory**p) ** (1.0 / p)
-    t_launch = work.launches * spec.traits.launch_overhead_s
-    t_transfer = work.pcie_bytes / (spec.traits.pcie_gb_s * 1e9)
-    return TimingBreakdown(
-        t_compute=t_compute,
-        t_memory=t_memory,
-        t_kernel=t_kernel,
-        t_launch=t_launch,
-        t_transfer=t_transfer,
-        t_host=work.host_seconds,
-    )
+    terms = work_terms(work, cache, spec)
+    columns = timing_columns(*terms[:5], *point_terms(spec, op), spec, SCALAR)
+    return TimingBreakdown(*columns, *terms[5:])

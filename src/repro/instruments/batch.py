@@ -1,13 +1,17 @@
 """Batch measurement: whole (benchmark x frequency-pair) grids per call.
 
 :class:`BatchMeasurer` evaluates the instruments' cells for a whole
-grid.  :meth:`BatchMeasurer.prepare` vector-seeds every stream a grid
-draws (:class:`~repro.rng.StreamBank`; only the meter's sample-noise
-draws need a real generator) and measures the grid's meter windows in
-one columnar pass (:func:`~repro.instruments.testbed.measure_windows`,
-the window :class:`Testbed` measures as a grid of one).  Counter totals
-are :func:`~repro.instruments.profiler.counter_totals`, as for
-:class:`~repro.instruments.profiler.CudaProfiler`.  Every cell is
+grid.  :meth:`BatchMeasurer.prepare` computes the grid's runs in one
+array pass (:meth:`~repro.engine.batch.BatchSimulator.prepare`), seeds
+its meter streams in one vectorized pass (:class:`~repro.rng.StreamBank`;
+only the meter's sample-noise draws need a real generator) and measures
+its meter windows in one columnar pass
+(:func:`~repro.instruments.testbed.measure_windows`, the window
+:class:`Testbed` measures as a grid of one).  Counter totals are
+:func:`~repro.instruments.profiler.counter_totals`, as for
+:class:`~repro.instruments.profiler.CudaProfiler`: each profiled run's
+counter noise is one contiguous block of bank lanes, seeded for the
+whole grid by :meth:`BatchMeasurer.prepare_profiles`.  Every cell is
 memoized, so measuring a prepared cell, and re-evaluating a warm grid,
 cost dictionary lookups.
 
@@ -24,10 +28,10 @@ from repro.arch.specs import GPUSpec
 from repro.engine.batch import BatchSimulator, content_fingerprint
 from repro.instruments.host import HostSystem
 from repro.instruments.powermeter import PowerMeter
-from repro.instruments.profiler import counter_totals, profile_stream_coords
+from repro.instruments.profiler import counter_totals, prepare_profiles
 from repro.instruments.testbed import (
     Measurement,
-    host_factor,
+    host_factors,
     measure_windows,
     window_stream_coords,
 )
@@ -61,7 +65,6 @@ class BatchMeasurer:
         self.seed = seed
         self.sim = BatchSimulator(gpu, seed=seed, ambient_c=ambient_c)
         self._measurements: dict[tuple, Measurement] = {}
-        self._host_factors: dict[int, float] = {}
         #: Extra per-base-seed banks for profiler streams (a dataset
         #: unit's profiler may run under a different seed override).
         self._profiler_banks: dict[int | None, StreamBank] = {}
@@ -77,7 +80,7 @@ class BatchMeasurer:
     # ------------------------------------------------------------------
 
     def prepare(self, cells: "list[tuple[KernelSpec, float, OperatingPoint]]") -> None:
-        """Vector-seed the streams of a grid's cells, then measure it.
+        """Compute a grid's runs and measure its windows, one pass each.
 
         The unmemoized cells are measured as one columnar grid.  A cell
         that cannot be measured is left out; measuring it raises.
@@ -91,9 +94,6 @@ class BatchMeasurer:
         if not pending:
             return
         grid = list(pending.values())
-        self.sim.streams.prepare(
-            [c for cell in grid for c in window_stream_coords(self.gpu, *cell)]
-        )
         try:
             windows = self._windows(grid, [self.sim.record(*cell) for cell in grid])
         except Exception:
@@ -108,11 +108,11 @@ class BatchMeasurer:
         profiler_seed: int | None = None,
     ) -> None:
         """Vector-seed the profiler streams for (kernel, scale) cells."""
-        coords: list[tuple] = []
-        for kernel, scale in cells:
-            if kernel.profiler_ok:
-                coords.extend(profile_stream_coords(self.gpu, kernel, scale))
-        self._profiler_bank(profiler_seed).prepare(coords)
+        prepare_profiles(
+            self._profiler_bank(profiler_seed),
+            self.gpu,
+            [(kernel, scale) for kernel, scale in cells if kernel.profiler_ok],
+        )
 
     def _profiler_bank(self, profiler_seed: int | None) -> StreamBank:
         bank = self._profiler_banks.get(profiler_seed)
@@ -151,20 +151,16 @@ class BatchMeasurer:
     def _windows(self, cells: list, records: list) -> list:
         """The meter windows of cells whose records are given."""
         streams = self.sim.streams
-        coords = [window_stream_coords(self.gpu, *cell) for cell in cells]
-        factors = []
-        for (kernel, _, _), (host_at, _) in zip(cells, coords):
-            key = content_fingerprint(kernel)
-            factor = self._host_factors.get(key)
-            if factor is None:
-                factor = self._host_factors[key] = host_factor(streams.stream(*host_at))
-            factors.append(factor)
+        lanes = streams.lanes(
+            [c for cell in cells for c in window_stream_coords(self.gpu, *cell)]
+        )
+        meter = lanes[1::2].tolist()
         return measure_windows(
             records,
-            factors,
+            host_factors(streams, lanes[0::2]).tolist(),
             self.host,
             self.meter,
-            lambda i: streams.stream(*coords[i][1]),
+            lambda i: streams.generator(meter[i]),
         )
 
     # ------------------------------------------------------------------
@@ -217,7 +213,7 @@ class BatchMeasurer:
             kernel,
             scale,
             self.sim.record(kernel, scale, op),
-            self._profiler_bank(profiler_seed).stream,
+            self._profiler_bank(profiler_seed),
             noise_scale,
             bias_cv,
         )

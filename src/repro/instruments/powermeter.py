@@ -71,11 +71,6 @@ class PowerTrace:
         return self.samples[self.valid]
 
     @property
-    def meets_quorum(self) -> bool:
-        """Whether the window holds the paper's >= 10 valid samples."""
-        return self.num_valid >= MIN_VALID_SAMPLES
-
-    @property
     def duration_s(self) -> float:
         """Length of the measurement window."""
         return self.num_samples * self.interval_s

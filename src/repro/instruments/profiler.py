@@ -9,17 +9,26 @@ the paper depends on:
 * some benchmarks simply fail to be analyzed (the paper excludes
   mummergpu, backprop, pathfinder and bfs from the modeling dataset for
   this reason).
+
+:func:`counter_totals` computes a profiled run's counters as columns
+over the card's counter set: one ``Counter.evaluate`` per counter, then
+the benchmark's bias and each counter's observation noise elementwise,
+the noise read from one contiguous block of ``StreamBank`` lanes.
+:class:`CudaProfiler` and the batch path
+(:class:`~repro.instruments.batch.BatchMeasurer`) both call it.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.arch.specs import GPUSpec
 from repro.engine.counters import Counter, counter_set
-from repro.engine.noise import lognormal_factor
-from repro.engine.simulator import Draw, GPUSimulator, RunRecord
+from repro.engine.noise import lognormal_factors, lognormal_sigmas
+from repro.engine.simulator import GPUSimulator, RunRecord
 from repro.errors import ProfilerError
 from repro.kernels.profile import KernelSpec
-from repro.rng import stream
+from repro.rng import StreamBank
 
 
 #: Per-generation observation-noise multiplier.  Tesla-era profilers
@@ -57,17 +66,44 @@ def analysis_failure(kernel: KernelSpec) -> str:
 
 def profile_stream_coords(
     spec: GPUSpec, kernel: KernelSpec, scale: float
-) -> list[tuple]:
-    """The profiler's noise-stream coordinates, in draw order.
+) -> tuple[tuple, tuple]:
+    """The profiler's noise streams: ``(bias coordinates, noise prefix)``.
 
-    The benchmark's extrapolation-bias stream comes first, then one
-    observation-noise stream per counter of the card's counter set.
+    The benchmark's extrapolation-bias stream is drawn first, then one
+    observation-noise stream per counter of the card's counter set,
+    ``noise prefix + (counter.name,)``.
     """
     g, k = spec.name, kernel.name
-    return [("counter-bench-scale", g, k)] + [
-        ("counter-noise", g, k, scale, counter.name)
-        for counter in counter_set(spec.traits.counter_set)
-    ]
+    return ("counter-bench-scale", g, k), ("counter-noise", g, k, scale)
+
+
+#: Per counter set: its names and their encoded ``repr`` (the noise
+#: streams' last coordinates, for ``StreamBank.blocks``) and CVs.
+_COUNTER_COLUMNS: dict[str, tuple] = {}
+
+#: ``lognormal_sigmas`` of the counters' CVs, per (set, noise scale).
+_NOISE_SIGMAS: dict[tuple, tuple] = {}
+
+
+def _counter_columns(counter_set_name: str) -> tuple:
+    columns = _COUNTER_COLUMNS.get(counter_set_name)
+    if columns is None:
+        counters = counter_set(counter_set_name)
+        names = tuple(counter.name for counter in counters)
+        columns = _COUNTER_COLUMNS[counter_set_name] = (
+            names,
+            tuple(repr(name).encode("utf-8") for name in names),
+            tuple(counter.noise_cv for counter in counters),
+        )
+    return columns
+
+
+def prepare_profiles(bank: StreamBank, spec: GPUSpec, cells) -> None:
+    """Seed the profiler streams of (kernel, scale) cells, two passes."""
+    coords = [profile_stream_coords(spec, kernel, scale) for kernel, scale in cells]
+    bank.prepare([bias_at for bias_at, _ in coords])
+    tails = _counter_columns(spec.traits.counter_set)[1]
+    bank.blocks([noise_at for _, noise_at in coords], tails)
 
 
 def counter_totals(
@@ -75,32 +111,39 @@ def counter_totals(
     kernel: KernelSpec,
     scale: float,
     record: RunRecord,
-    draw: Draw,
+    bank: StreamBank,
     noise_scale: float | None = None,
     bias_cv: float | None = None,
 ) -> dict[str, float]:
     """Observed counter totals of one profiled run.
 
     Every counter of the card's set carries the benchmark's common
-    extrapolation bias and its own observation noise.  ``None``
-    overrides resolve to the generation's defaults
-    (:data:`OBSERVATION_NOISE_SCALE`, :data:`EXTRAPOLATION_BIAS_CV`);
-    ``draw`` supplies the generators of :func:`profile_stream_coords`.
+    extrapolation bias and its own observation noise, elementwise over
+    the set's column of counters.  ``None`` overrides resolve to the
+    generation's defaults (:data:`OBSERVATION_NOISE_SCALE`,
+    :data:`EXTRAPOLATION_BIAS_CV`); ``bank`` holds (or seeds) the
+    streams of :func:`profile_stream_coords`.
     """
     counter_set_name = spec.traits.counter_set
     if noise_scale is None:
         noise_scale = OBSERVATION_NOISE_SCALE[counter_set_name]
     if bias_cv is None:
         bias_cv = EXTRAPOLATION_BIAS_CV[counter_set_name]
-    bias_at, *noise_at = profile_stream_coords(spec, kernel, scale)
-    bias = lognormal_factor(draw(*bias_at), bias_cv)
+    bias_at, noise_at = profile_stream_coords(spec, kernel, scale)
+    (bias,) = lognormal_factors(bank, bank.lanes([bias_at]), lognormal_sigmas(bias_cv))
     ctx = record.context
-    values: dict[str, float] = {}
-    for counter, coords in zip(counter_set(counter_set_name), noise_at):
-        value = counter.evaluate(ctx)
-        cv = counter.noise_cv * noise_scale
-        values[counter.name] = value * bias * lognormal_factor(draw(*coords), cv)
-    return values
+    counters = counter_set(counter_set_name)
+    values = np.array([counter.evaluate(ctx) for counter in counters])
+    names, tails, cvs = _counter_columns(counter_set_name)
+    key = (counter_set_name, type(noise_scale), noise_scale)
+    sigmas = _NOISE_SIGMAS.get(key)
+    if sigmas is None:
+        sigmas = lognormal_sigmas([cv * noise_scale for cv in cvs])
+        if len(_NOISE_SIGMAS) < 64:
+            _NOISE_SIGMAS[key] = sigmas
+    (start,) = bank.blocks([noise_at], tails)
+    factors = lognormal_factors(bank, np.arange(start, start + len(names)), sigmas)
+    return dict(zip(names, (values * float(bias) * factors).tolist()))
 
 
 class CudaProfiler:
@@ -138,6 +181,7 @@ class CudaProfiler:
         self._noise_scale = noise_scale
         self._bias_cv = bias_cv
         self._injector = injector
+        self._streams: StreamBank | None = None
 
     @property
     def seed(self) -> int | None:
@@ -172,13 +216,14 @@ class CudaProfiler:
             raise ProfilerError(analysis_failure(kernel))
         if self._injector is not None:
             self._injector.check_profiler(sim.spec.name, kernel.name)
-        seed = self._seed
+        if self._streams is None:
+            self._streams = StreamBank(self._seed)
         return counter_totals(
             sim.spec,
             kernel,
             scale,
             sim.run(kernel, scale),
-            lambda *coords: stream(*coords, seed=seed),
+            self._streams,
             self._noise_scale,
             self._bias_cv,
         )

@@ -27,14 +27,14 @@ import numpy as np
 from repro.arch.dvfs import ClockLevel, OperatingPoint, coerce_levels, pair_key
 from repro.arch.specs import GPUSpec
 from repro.engine.batch import content_fingerprint
-from repro.engine.phases import BURSTS, SCALAR, busy_phase_columns
+from repro.engine.phases import BURSTS, COLUMNS, SCALAR, busy_phase_columns
 from repro.engine.simulator import GPUSimulator, RunRecord
 from repro.errors import MeasurementError
 from repro.instruments.host import HostSystem
 from repro.instruments.powermeter import PowerMeter, PowerTrace
-from repro.engine.noise import lognormal_factor
+from repro.engine.noise import lognormal_factor, lognormal_factors, lognormal_sigmas
 from repro.kernels.profile import KernelSpec
-from repro.rng import stream
+from repro.rng import StreamBank, stream
 from repro.telemetry.runtime import current_telemetry
 
 #: Minimum GPU-busy window the paper enforces before measuring.
@@ -90,7 +90,7 @@ def window_profiles(
         )
         # No busy time and no idle time: an empty run, at harmless values.
         columns[bad] = (-1.0, 0.0, 1.0, 1.0, 0.0, 0.0)
-        return _window_profiles(np, host, *columns.T, factor)
+        return _window_profiles(COLUMNS, host, *columns.T, factor)
 
 
 def _window_inputs(record: RunRecord) -> tuple[float, ...]:
@@ -164,13 +164,22 @@ def window_stream_coords(
     )
 
 
+#: CV of a benchmark's host-power factor (unit median).
+HOST_POWER_CV = 0.12
+
+
 def host_factor(rng: np.random.Generator) -> float:
     """Draw a benchmark's host-power factor: unit median, CV 0.12.
 
     ``rng`` is the benchmark's host-power stream; the factor scales
     host-side power in :func:`window_profiles`.
     """
-    return lognormal_factor(rng, 0.12)
+    return lognormal_factor(rng, HOST_POWER_CV)
+
+
+def host_factors(bank: StreamBank, lanes: np.ndarray) -> np.ndarray:
+    """:func:`host_factor` of each host-power lane of a ``StreamBank``."""
+    return lognormal_factors(bank, lanes, lognormal_sigmas(HOST_POWER_CV))
 
 
 @dataclass(frozen=True)

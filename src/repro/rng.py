@@ -15,7 +15,6 @@ stream label).  Two properties follow:
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Any, Iterable
 
 import numpy as np
@@ -62,6 +61,22 @@ def stable_hashes(coords_list: "Iterable[tuple]") -> list[int]:
     return out
 
 
+def prefix_hashes(prefix: tuple, tails: "Iterable[bytes]") -> list[int]:
+    """``[stable_hash(*prefix, t) for t in ...]``, hashing ``prefix`` once.
+
+    ``tails`` holds each last coordinate's ``repr``, UTF-8 encoded.  The
+    prefix's text is hashed once and each tail hashes from a ``copy()``
+    of that state, which leaves every digest unchanged.
+    """
+    head = hashlib.sha256("".join(repr(c) + "\x1f" for c in prefix).encode("utf-8"))
+    out = []
+    for tail in tails:
+        h = head.copy()
+        h.update(tail)
+        out.append(int.from_bytes(h.digest()[:8], "little"))
+    return out
+
+
 def stream(*coords: Any, seed: int | None = None) -> np.random.Generator:
     """Create a deterministic generator for the given coordinates.
 
@@ -91,8 +106,8 @@ def stream(*coords: Any, seed: int | None = None) -> np.random.Generator:
 #   column of stream hashes at once,
 # * :func:`first_draws` steps each seeded PCG64 once and turns the output
 #   into the value ``normal()`` and ``uniform()`` would return, and
-# * :class:`StreamBank` answers a stream's first scalar draw from those
-#   columns, writing the PCG64 state only for the calls that need it.
+# * :class:`StreamBank` hands a grid those columns, writing a PCG64
+#   state only for the draws they cannot answer.
 #
 # Parity with ``stream()`` is asserted by tests/test_batch_parity.py and
 # tests/test_rng.py.
@@ -420,32 +435,30 @@ def first_draws(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class StreamBank:
     """Batch-seeded deterministic streams with precomputed first draws.
 
-    ``prepare()`` seeds many coordinate tuples in one vectorized pass and
+    ``lanes()`` seeds many coordinate tuples in one vectorized pass and
     precomputes each stream's first draw (:func:`first_draws`), stored
-    as per-bank columns indexed by one lane number per tuple.
-    ``stream()`` returns a view whose ``normal`` and ``uniform`` return
-    exactly what :func:`stream`'s generator would for the same
-    coordinates: a stream's first scalar draw comes from the columns,
-    and any other call (``size=``, a lane numpy's ziggurat rejects, a
-    second draw, arguments numpy would reject) writes the stream's PCG64
-    state into the bank's one reused generator and delegates to it.
-
-    The bank reuses **one** view and one generator, so what
-    ``stream()`` returns is only valid until the next ``stream()``
-    call — the batch evaluator's draw-immediately-and-discard usage.
-    Unprepared coordinates are seeded on demand (reference path), so
-    the bank is always correct, just slower when cold.
+    as per-bank columns indexed by one lane number per tuple; a grid
+    reads its draws as columns (``normals``, ``uniforms``).  ``blocks()``
+    seeds one contiguous run of lanes per coordinate prefix, one per
+    shared last coordinate (a profiled run's counters).  Every draw is
+    bit-identical to :func:`stream`'s generator's.  Only what the columns
+    cannot answer writes a real PCG64 state into the bank's one reused
+    generator (``generator``, ``stream``): ``size=`` draws (the meter),
+    and the lanes numpy's ziggurat rejects.  Unprepared coordinates are
+    seeded on demand (reference path), so the bank is always correct,
+    just slower when cold.
     """
 
     def __init__(self, seed: int | None = None) -> None:
         self.base = GLOBAL_SEED if seed is None else seed
         self._lanes: dict[tuple, int] = {}
+        self._blocks: dict[tuple, int] = {}
+        self._size = 0
         self._words = np.empty((0, 4), dtype=np.uint64)
         self._normal = np.empty(0)
         self._uniform = np.empty(0)
         self._bit_generator = np.random.PCG64(0)
         self._generator = np.random.Generator(self._bit_generator)
-        self._view = _StreamView(self)
 
     def prepare(self, coords_list: "list[tuple]") -> None:
         """Seed every missing coordinate tuple in one vectorized pass."""
@@ -454,10 +467,56 @@ class StreamBank:
         if missing:
             self._extend(missing, seed_state_words(self.base, stable_hashes(missing)))
 
-    def _extend(self, coords_list: "list[tuple]", words: np.ndarray) -> None:
-        """Append one lane per (new, distinct) tuple seeded with ``words``."""
+    def lanes(self, coords_list: "list[tuple]") -> np.ndarray:
+        """Each coordinate tuple's lane, seeding the missing ones first."""
+        self.prepare(coords_list)
+        return np.fromiter(
+            map(self._lanes.__getitem__, coords_list), np.intp, len(coords_list)
+        )
+
+    def blocks(self, prefixes: "list[tuple]", tails: "tuple[bytes, ...]") -> list[int]:
+        """First lane of each prefix's block, seeding missing blocks in one pass.
+
+        Lane ``start + j`` of a prefix's block is the stream of
+        ``prefix + (t_j,)``, where ``tails[j]`` is ``repr(t_j)`` encoded
+        as UTF-8 (:func:`prefix_hashes`).
+        """
+        blocks = self._blocks
+        missing = [p for p in dict.fromkeys(prefixes) if (p, tails) not in blocks]
+        if missing:
+            hashes = [h for p in missing for h in prefix_hashes(p, tails)]
+            start = self._extend((), seed_state_words(self.base, hashes))
+            for i, prefix in enumerate(missing):
+                blocks[(prefix, tails)] = start + i * len(tails)
+        return [blocks[(p, tails)] for p in prefixes]
+
+    def normals(self, lanes: np.ndarray, drawn=True) -> np.ndarray:
+        """Each lane's first ``standard_normal`` draw, as a column.
+
+        Lanes outside the ``drawn`` mask read 0.0 and draw nothing.
+        ``normal(loc, scale)`` returns ``loc + scale * z`` of this draw.
+        """
+        z = np.where(drawn, self._normal[lanes], 0.0)
+        rejected: dict[int, float] = {}
+        for i in np.flatnonzero(np.isnan(z)).tolist():
+            lane = int(lanes[i])
+            if lane not in rejected:
+                rejected[lane] = self.generator(lane).standard_normal()
+            z[i] = rejected[lane]
+        return z
+
+    def uniforms(self, lanes: np.ndarray) -> np.ndarray:
+        """Each lane's first ``random()`` draw, as a column."""
+        return self._uniform[lanes]
+
+    def _extend(self, coords_list: "tuple | list[tuple]", words: np.ndarray) -> int:
+        """Append one lane per row of ``words``; returns the first new lane.
+
+        The lanes are those of ``coords_list``'s (new, distinct) tuples,
+        if given.
+        """
         normal, uniform = first_draws(words)
-        n, k = len(self._lanes), len(coords_list)
+        n, k = self._size, len(words)
         if n + k > len(self._normal):
             # Exact fit for grid-sized batches; 25 % headroom keeps a
             # run of on-demand single lanes from copying every time.
@@ -471,26 +530,21 @@ class StreamBank:
         self._words[n : n + k] = words
         self._normal[n : n + k] = normal
         self._uniform[n : n + k] = uniform
+        self._size = n + k
         self._lanes.update(zip(coords_list, range(n, n + k)))
+        return n
 
-    def stream(self, *coords: Any) -> "_StreamView":
-        """The stream of the coordinates (valid until the next call)."""
-        lane = self._lanes.get(coords)
-        if lane is None:
-            self.prepare([coords])
-            lane = self._lanes[coords]
-        view = self._view
-        view._lane = lane
-        view._fresh = True
-        view._live = None
-        return view
+    def stream(self, *coords: Any) -> np.random.Generator:
+        """:func:`stream`'s generator of the coordinates, fresh.
 
-    def _materialize(self, lane: int, drawn: bool) -> np.random.Generator:
-        """Write a lane's PCG64 state into the reused generator.
-
-        ``drawn`` steps past the first output, already answered from the
-        columns.
+        Valid until the next ``stream()`` or ``generator()`` call.
         """
+        (lane,) = self.lanes([coords])
+        return self.generator(int(lane))
+
+    def generator(self, lane: int) -> np.random.Generator:
+        """A lane's generator, fresh: its PCG64 state written into the
+        bank's one reused generator (valid until the next such call)."""
         w0, w1, w2, w3 = self._words[lane].tolist()
         initstate = (w0 << 64) | w1
         initseq = (w2 << 64) | w3
@@ -498,8 +552,6 @@ class StreamBank:
         # step — collapsed into one LCG advance of (inc + initstate).
         inc = ((initseq << 1) | 1) & _MASK128
         state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
-        if drawn:
-            state = (state * _PCG_MULT + inc) & _MASK128
         self._bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
@@ -507,54 +559,3 @@ class StreamBank:
             "uinteger": 0,
         }
         return self._generator
-
-
-class _StreamView:
-    """One :class:`StreamBank` stream, as ``StreamBank.stream`` returns it.
-
-    ``normal`` and ``uniform`` take numpy's arguments and return what a
-    fresh :func:`stream` generator's methods return.  A scalar first
-    draw with plain-float arguments numpy accepts is answered from the
-    bank's columns (a Python float); every other call materializes the
-    generator and delegates to it.
-    """
-
-    __slots__ = ("_bank", "_lane", "_fresh", "_live")
-
-    def __init__(self, bank: StreamBank) -> None:
-        self._bank = bank
-        self._lane = 0
-        #: No output of the stream has been consumed yet.
-        self._fresh = True
-        #: The materialized generator, once a call needed it.
-        self._live: np.random.Generator | None = None
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        """``Generator.normal``, from the columns when it can be."""
-        if (
-            self._fresh
-            and size is None
-            and type(loc) is float
-            and type(scale) is float
-            and scale > 0.0
-        ):
-            z = self._bank._normal.item(self._lane)
-            if z == z:  # NaN marks a lane the ziggurat's fast path rejects
-                self._fresh = False
-                return loc + scale * z
-        return self._generator().normal(loc, scale, size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        """``Generator.uniform``, from the columns when it can be."""
-        if self._fresh and size is None and type(low) is float and type(high) is float:
-            span = high - low
-            if 0.0 < span < math.inf:
-                self._fresh = False
-                return low + span * self._bank._uniform.item(self._lane)
-        return self._generator().uniform(low, high, size)
-
-    def _generator(self) -> np.random.Generator:
-        if self._live is None:
-            self._live = self._bank._materialize(self._lane, not self._fresh)
-            self._fresh = False
-        return self._live

@@ -1,10 +1,14 @@
 """Path parity: the columnar and scalar paths must agree bit for bit.
 
-Each cell has one implementation (``simulate_run``, the meter-window
-helpers, ``counter_totals``) under two paths that differ in where
-their noise generators come from and whether they memoize.  Checked:
+Each cell has one implementation (``run_columns``, the meter-window
+helpers, ``counter_totals``), run over whole grids by the columnar path
+and over one cell's floats by the scalar path.  Checked:
 
 * ``repro.rng.StreamBank`` vs ``repro.rng.stream`` (bit-equal draws),
+  and ``prefix_hashes`` vs ``stable_hash``,
+* the columnar cell kernel (``BatchSimulator``'s run columns and
+  ``counter_totals``' counter columns) vs a plain per-cell reference
+  copy of the scalar code it replaced, over hypothesis grids and seeds,
 * ``BatchSimulator.run_grid`` / ``BatchMeasurer.measure_grid`` vs the
   scalar ``set_clocks`` + ``run`` / ``measure`` protocol, and that a
   prepared grid evaluates without seeding any stream it did not prepare
@@ -29,15 +33,27 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.arch.dvfs import ClockLevel
 from repro.arch.specs import all_gpus, get_gpu
 from repro.engine.batch import BatchSimulator
-from repro.engine.simulator import GPUSimulator
+from repro.engine.cache import simulate_cache
+from repro.engine.counters import counter_set
+from repro.engine.occupancy import scheduler_efficiency
+from repro.engine.power import PowerBreakdown, idle_gpu_power
+from repro.engine.simulator import GPUSimulator, RunRecord
+from repro.engine.thermal import T_THROTTLE
+from repro.engine.timing import TimingBreakdown, compute_work_ops
 from repro.execution.batch import evaluate_fast, is_batchable, prepare_units
 from repro.execution.units import DatasetUnit, SweepUnit, dataset_units, sweep_units
 from repro.errors import MeasurementError
 from repro.instruments.batch import BatchMeasurer, shared_batch_measurer
 from repro.instruments.host import HostSystem
 from repro.instruments.powermeter import PowerMeter
+from repro.instruments.profiler import (
+    EXTRAPOLATION_BIAS_CV,
+    OBSERVATION_NOISE_SCALE,
+    CudaProfiler,
+)
 from repro.instruments.testbed import (
     Testbed,
     host_factor,
@@ -46,7 +62,7 @@ from repro.instruments.testbed import (
 )
 from repro.kernels.suites import all_benchmarks, get_benchmark
 from repro.kernels.synthetic import generate_kernel
-from repro.rng import StreamBank, seed_state_words, stream
+from repro.rng import StreamBank, prefix_hashes, seed_state_words, stable_hash, stream
 
 _GPU_NAMES = [g.name for g in all_gpus()]
 
@@ -54,6 +70,14 @@ gpu_names = st.sampled_from(_GPU_NAMES)
 kernel_indices = st.integers(min_value=0, max_value=200)
 scales = st.sampled_from([0.05, 0.2, 0.5, 1.0])
 seeds = st.sampled_from([None, 0, 987654321])
+_BENCH_NAMES = [k.name for k in all_benchmarks()]
+
+
+class _Label(str):
+    """A ``str`` subclass whose ``repr`` differs from an equal ``str``'s."""
+
+    def __repr__(self) -> str:
+        return f"_Label({str.__repr__(self)})"
 
 
 class TestStreamBank:
@@ -78,16 +102,16 @@ class TestStreamBank:
             for i in range(20)
         ] + [("meter", "GTX 680", "kmeans", 1.0, "L-M")]
         bank = StreamBank(seed)
-        bank.prepare(coords)
-        for c in coords:
+        lanes = bank.lanes(coords)
+        normals, uniforms = bank.normals(lanes), bank.uniforms(lanes)
+        for c, z, u in zip(coords, normals.tolist(), uniforms.tolist()):
             ref = stream(*c, seed=seed)
             fast = bank.stream(*c)
             assert np.array_equal(
                 ref.normal(0.0, 1.0, size=5), fast.normal(0.0, 1.0, size=5)
             )
-            assert stream(*c, seed=seed).uniform(0.25, 2.75) == bank.stream(
-                *c
-            ).uniform(0.25, 2.75)
+            assert stream(*c, seed=seed).normal(0.0, 0.3) == 0.0 + 0.3 * z
+            assert stream(*c, seed=seed).uniform(0.25, 2.75) == 0.25 + 2.5 * u
 
     def test_unprepared_coords_seed_on_demand(self):
         bank = StreamBank(None)
@@ -95,6 +119,336 @@ class TestStreamBank:
         assert np.array_equal(
             stream(*coords).normal(size=3), bank.stream(*coords).normal(size=3)
         )
+
+
+# ----------------------------------------------------------------------
+# the per-cell scalar code the columnar kernel replaced, kept verbatim
+# as the reference the kernel must reproduce bit for bit
+# ----------------------------------------------------------------------
+
+
+def _ref_lognormal(rng, cv):
+    if cv < 0:
+        raise ValueError(f"cv must be non-negative, got {cv}")
+    if cv == 0:
+        return 1.0
+    return float(np.exp(rng.normal(0.0, float(np.sqrt(np.log1p(cv**2))))))
+
+
+def _ref_timing(work, cache, spec, op):
+    sched = scheduler_efficiency(work.occupancy, work.divergence, spec.traits)
+    t_compute = compute_work_ops(work) / (spec.peak_flops(op) * sched)
+    core_rel = op.core_mhz / spec.core_freq(ClockLevel.H)
+    issue_bw = 1.15 * core_rel * work.occupancy**0.3 * spec.mem_bandwidth_gbs * 1e9
+    mem_rel = op.mem_mhz / spec.mem_freq(ClockLevel.H)
+    freq_exponent = 0.45 + 0.55 * work.coalescing
+    mem_bw = spec.mem_bandwidth_gbs * 1e9 * mem_rel**freq_exponent * 0.88
+    t_memory = cache.dram_bytes / min(mem_bw, issue_bw)
+    p = spec.traits.overlap_exponent
+    t_kernel = (t_compute**p + t_memory**p) ** (1.0 / p)
+    t_launch = work.launches * spec.traits.launch_overhead_s
+    t_transfer = work.pcie_bytes / (spec.traits.pcie_gb_s * 1e9)
+    return TimingBreakdown(
+        t_compute, t_memory, t_kernel, t_launch, t_transfer, work.host_seconds
+    )
+
+
+def _ref_power(cache, timing, spec, op):
+    v_rel = op.core_voltage / spec.core_vdd.at(ClockLevel.H)
+    f_rel = op.core_mhz / spec.core_freq(ClockLevel.H)
+    vm_rel = op.mem_voltage / spec.mem_vdd.at(ClockLevel.H)
+    utilization = (
+        min(1.0, timing.t_compute / timing.t_kernel) if timing.t_kernel else 0.0
+    )
+    core_dyn = spec.power.core_dyn_w * utilization * v_rel**2 * f_rel
+    traffic_gb_s = (
+        cache.dram_bytes / 1e9 / timing.t_kernel if timing.t_kernel > 0 else 0.0
+    )
+    dram_access = spec.power.dram_access_j_per_gb * traffic_gb_s * vm_rel**2
+    static_w = spec.power.board_static_w * v_rel**spec.power.leakage_exponent
+    fm_rel = op.mem_mhz / spec.mem_freq(ClockLevel.H)
+    mem_background = spec.power.mem_background_w * vm_rel**2 * fm_rel
+    return PowerBreakdown(static_w, core_dyn, mem_background, dram_access)
+
+
+def ref_thermal(r_th, dynamic_w, static_w, ambient_c, max_iterations=50):
+    """The scalar fixed-point loop: ``(die_c, power_w, iterations)``."""
+    if dynamic_w < 0 or static_w < 0:
+        raise ValueError("power components must be non-negative")
+    t = ambient_c + r_th * (dynamic_w + static_w)
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        factor = max(0.1, 1.0 + 0.006 * (t - 70.0))
+        t_new = ambient_c + r_th * (dynamic_w + static_w * factor)
+        if abs(t_new - t) < 1e-6:
+            t = t_new
+            break
+        t = t_new
+    factor = max(0.1, 1.0 + 0.006 * (t - 70.0))
+    return t, dynamic_w + static_w * factor, iterations
+
+
+def _ref_cpi_cv(kernel, traits):
+    size_proxy = kernel.gflops_total + 2.0 * kernel.gbytes_total
+    size_weight = min(2.5, max(0.3, (200.0 / size_proxy) ** 0.5))
+    irregularity = 0.5 + kernel.divergence + (1.0 - kernel.coalescing)
+    return min(0.9, traits.unmodeled_cpi_cv * size_weight * irregularity)
+
+
+def reference_run(spec, kernel, scale, op, seed=None, ambient_c=25.0):
+    """``GPUSimulator.run`` as one scalar computation per cell."""
+    work = kernel.work(scale)
+    cache = simulate_cache(work, spec)
+    timing = _ref_timing(work, cache, spec, op)
+    power = _ref_power(cache, timing, spec, op)
+    traits = spec.traits
+    g, k = spec.name, kernel.name
+
+    def draw(*coords):
+        return stream(*coords, seed=seed)
+
+    jitter = _ref_lognormal(
+        draw("timing-jitter", g, k, scale, op.key), traits.timing_jitter_cv
+    )
+    cpi = _ref_lognormal(draw("cpi-fixed-effect", g, k), _ref_cpi_cv(kernel, traits))
+    overhead_s = traits.driver_overhead_s * float(
+        draw("driver-overhead", g, k, scale).uniform(0.25, 2.75)
+    )
+    cv = traits.unmodeled_power_cv
+    fixed = _ref_lognormal(draw("power-fixed-effect", g, k), cv * 0.9)
+    interaction = _ref_lognormal(draw("power-pair-effect", g, k, op.key), cv * 0.10)
+    dynamic = power.core_dynamic_w + power.mem_background_w + power.dram_access_w
+    die_c, active_w, _ = ref_thermal(
+        (70.0 - 25.0) / spec.tdp_w,
+        dynamic * fixed * interaction,
+        power.static_w,
+        ambient_c,
+    )
+    kernel_seconds = timing.t_kernel * jitter * cpi
+    return RunRecord(
+        spec,
+        kernel,
+        scale,
+        op,
+        work,
+        cache,
+        timing,
+        power,
+        kernel_seconds,
+        overhead_s,
+        kernel_seconds
+        + timing.t_launch
+        + timing.t_transfer
+        + timing.t_host
+        + overhead_s,
+        active_w,
+        idle_gpu_power(spec, op),
+        die_c,
+        die_c > T_THROTTLE,
+    )
+
+
+def reference_counter_totals(
+    spec, kernel, scale, record, seed=None, noise_scale=None, bias_cv=None
+):
+    """``CudaProfiler.profile``'s totals as one scalar loop per counter."""
+    name = spec.traits.counter_set
+    if noise_scale is None:
+        noise_scale = OBSERVATION_NOISE_SCALE[name]
+    if bias_cv is None:
+        bias_cv = EXTRAPOLATION_BIAS_CV[name]
+    g, k = spec.name, kernel.name
+    bias = _ref_lognormal(stream("counter-bench-scale", g, k, seed=seed), bias_cv)
+    ctx = record.context
+    values = {}
+    for counter in counter_set(name):
+        rng = stream("counter-noise", g, k, scale, counter.name, seed=seed)
+        noise = _ref_lognormal(rng, counter.noise_cv * noise_scale)
+        values[counter.name] = counter.evaluate(ctx) * bias * noise
+    return values
+
+
+def _same_record(a, b) -> bool:
+    """Field-by-field equality, comparing floats by their bits."""
+    fields = [
+        (a.timing, b.timing),
+        (a.power, b.power),
+        (a.kernel_seconds, b.kernel_seconds),
+        (a.overhead_seconds, b.overhead_seconds),
+        (a.total_seconds, b.total_seconds),
+        (a.gpu_active_power_w, b.gpu_active_power_w),
+        (a.gpu_idle_power_w, b.gpu_idle_power_w),
+        (a.die_temp_c, b.die_temp_c),
+    ]
+    same = all(repr(x) == repr(y) for x, y in fields)
+    return same and a.throttling is b.throttling and a.work == b.work
+
+
+def _rejected_lanes(bank) -> int:
+    return int(np.isnan(bank._normal[: bank._size]).sum())
+
+
+class TestKernelReference:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        gpu_name=gpu_names,
+        indices=st.lists(kernel_indices, min_size=1, max_size=4, unique=True),
+        names=st.lists(st.sampled_from(_BENCH_NAMES), max_size=3, unique=True),
+        scale_list=st.lists(scales, min_size=1, max_size=2, unique=True),
+        seed=st.one_of(seeds, st.integers(min_value=0, max_value=2**32 - 1)),
+        ambient_c=st.sampled_from([25.0, 35.0]),
+    )
+    # A grid with ziggurat-rejected run-noise lanes.
+    @example(
+        gpu_name="GTX 680",
+        indices=list(range(12)),
+        names=["kmeans", "hotspot", "nn"],
+        scale_list=[0.25, 1.0],
+        seed=5,
+        ambient_c=25.0,
+    )
+    def test_run_columns_match_reference(
+        self, gpu_name, indices, names, scale_list, seed, ambient_c
+    ):
+        gpu = get_gpu(gpu_name)
+        kernels = [generate_kernel(i) for i in indices]
+        kernels += [get_benchmark(name) for name in names]
+        cells = [
+            (kernel, scale, op)
+            for kernel in kernels
+            for scale in scale_list
+            for op in gpu.operating_points()
+        ]
+        sim = BatchSimulator(gpu, seed=seed, ambient_c=ambient_c)
+        sim.prepare(cells)
+        assert len(sim._prepared) == len(cells)  # every cell in the array pass
+        for cell, record in zip(cells, sim.run_grid(cells)):
+            kernel, scale, op = cell
+            expected = reference_run(gpu, kernel, scale, op, seed, ambient_c)
+            assert _same_record(record, expected)
+        if len(indices) == 12:
+            assert _rejected_lanes(sim.streams) > 0
+
+    @pytest.mark.parametrize("gpu_name", _GPU_NAMES)
+    def test_grid_of_one_matches_reference(self, gpu_name):
+        gpu = get_gpu(gpu_name)
+        sim = GPUSimulator(gpu, seed=77)
+        for kernel in all_benchmarks()[::5]:
+            for op in gpu.operating_points():
+                sim.set_clocks(op.core_level, op.mem_level)
+                expected = reference_run(gpu, kernel, 0.5, op, 77)
+                assert _same_record(sim.run(kernel, 0.5), expected)
+
+    def test_negative_power_cells_leave_the_grid_and_raise_alone(self):
+        # Negative DRAM access energy: cells with enough DRAM traffic get
+        # a negative dynamic power, the others stay valid.
+        base = get_gpu("GTX 480")
+        gpu = replace(base, power=replace(base.power, dram_access_j_per_gb=-2.5))
+        cells = [
+            (kernel, 1.0, op)
+            for kernel in all_benchmarks()[:12]
+            for op in gpu.operating_points()
+        ]
+        sim = BatchSimulator(gpu)
+        sim.prepare(cells)
+        rejected = 0
+        for kernel, scale, op in cells:
+            try:
+                expected = reference_run(gpu, kernel, scale, op)
+            except ValueError as exc:
+                rejected += 1
+                assert sim._record_key(kernel, scale, op) not in sim._prepared
+                scalar = GPUSimulator(gpu)
+                scalar.set_clocks(op.core_level, op.mem_level)
+                for evaluate in (lambda: sim.record(kernel, scale, op),
+                                 lambda: scalar.run(kernel, scale)):
+                    with pytest.raises(ValueError) as info:
+                        evaluate()
+                    assert str(info.value) == str(exc)
+                continue
+            assert _same_record(sim.record(kernel, scale, op), expected)
+        assert 0 < rejected < len(cells)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        gpu_name=gpu_names,
+        index=kernel_indices,
+        scale=scales,
+        seed=seeds,
+        noise_scale=st.sampled_from([None, 0.0, 0.5, 2.0]),
+        bias_cv=st.sampled_from([None, 0.0, 0.3]),
+    )
+    # Kepler's ``prof_trigger_*`` counters have cv == 0; its 108-lane
+    # block holds ziggurat-rejected lanes at this seed.
+    @example(
+        gpu_name="GTX 680", index=0, scale=1.0, seed=5, noise_scale=None, bias_cv=None
+    )
+    def test_counter_columns_match_reference(
+        self, gpu_name, index, scale, seed, noise_scale, bias_cv
+    ):
+        gpu = get_gpu(gpu_name)
+        kernel = generate_kernel(index)
+        hh = gpu.operating_point("H-H")
+        measurer = BatchMeasurer(gpu, seed=seed)
+        measurer.prepare_profiles([(kernel, scale)], profiler_seed=seed)
+        totals = measurer.counter_totals(
+            kernel, scale, hh, seed, noise_scale, bias_cv
+        )
+        record = reference_run(gpu, kernel, scale, hh, seed)
+        expected = reference_counter_totals(
+            gpu, kernel, scale, record, seed, noise_scale, bias_cv
+        )
+        assert list(totals) == list(expected)
+        assert [v.hex() for v in totals.values()] == [
+            v.hex() for v in expected.values()
+        ]
+        profiler = CudaProfiler(seed=seed, noise_scale=noise_scale, bias_cv=bias_cv)
+        sim = GPUSimulator(gpu, seed=seed)
+        assert profiler.profile(sim, kernel, scale) == totals
+        if (gpu_name, index, seed) == ("GTX 680", 0, 5):
+            zero_cv = [c.name for c in counter_set("kepler") if c.noise_cv == 0]
+            assert zero_cv and all(totals[n] == expected[n] for n in zero_cv)
+            assert _rejected_lanes(measurer._profiler_bank(seed)) > 0
+
+
+tail_coordinates = st.one_of(
+    st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, None]),
+    st.sampled_from(["H-H", "ipc", "GTX 480"]),
+    st.sampled_from(["H-H", "ipc"]).map(_Label),
+    st.text(),
+    st.floats(allow_nan=False),
+    st.integers(),
+)
+
+
+class TestPrefixHashes:
+    @given(
+        prefix=st.lists(tail_coordinates, max_size=5).map(tuple),
+        tails=st.lists(tail_coordinates, max_size=8),
+    )
+    @example(prefix=(), tails=[1, 1.0, True, -0.0, 0.0, _Label("H-H"), "H-H"])
+    @example(prefix=(-0.0, _Label("x"), 1), tails=["a\x1fb", 0.0])
+    def test_equals_stable_hash(self, prefix, tails):
+        encoded = [repr(t).encode("utf-8") for t in tails]
+        assert prefix_hashes(prefix, encoded) == [
+            stable_hash(*prefix, t) for t in tails
+        ]
+
+    def test_bank_blocks_draw_what_stream_draws(self):
+        bank = StreamBank(7)
+        tails = ("ipc", "gld_request", "prof_trigger_00")
+        encoded = tuple(repr(t).encode("utf-8") for t in tails)
+        prefixes = [("counter-noise", "GTX 460", f"bench-{i}", 0.5) for i in range(9)]
+        starts = bank.blocks(prefixes, encoded)
+        assert bank.blocks(prefixes[:2], encoded) == starts[:2]
+        for prefix, start in zip(prefixes, starts):
+            lanes = np.arange(start, start + len(tails))
+            z = bank.normals(lanes)
+            u = bank.uniforms(lanes)
+            for j, tail in enumerate(tails):
+                ref = stream(*prefix, tail, seed=7)
+                assert z[j] == ref.standard_normal()
+                assert u[j] == stream(*prefix, tail, seed=7).random()
 
 
 class TestGridParity:
@@ -183,13 +537,13 @@ class TestGridParity:
         seed = 180_417  # a seed no other test measures, so nothing is memoized
         units = dataset_units(gpu, all_benchmarks(), seed=seed)
         written = []
-        materialize = StreamBank._materialize
+        generator = StreamBank.generator
 
-        def spy(bank, lane, drawn):
-            written.append((bank, lane, drawn))
-            return materialize(bank, lane, drawn)
+        def spy(bank, lane):
+            written.append((bank, lane))
+            return generator(bank, lane)
 
-        monkeypatch.setattr(StreamBank, "_materialize", spy)
+        monkeypatch.setattr(StreamBank, "generator", spy)
         # The meter windows are drawn while preparing, so the spy covers
         # both calls.
         prepare_units(units)
@@ -197,10 +551,12 @@ class TestGridParity:
             evaluate_fast(unit)
         labels = {}
         meter = 0
-        for bank, lane, drawn in written:
+        for bank, lane in written:
             if id(bank) not in labels:
                 labels[id(bank)] = {i: c[0] for c, i in bank._lanes.items()}
-            assert not drawn
+                for (prefix, tails), start in bank._blocks.items():
+                    lanes = range(start, start + len(tails))
+                    labels[id(bank)].update(dict.fromkeys(lanes, prefix[0]))
             if labels[id(bank)][lane] == "meter":
                 meter += 1
             else:

@@ -26,14 +26,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.specs import GPU_NAMES, get_gpu
+from repro.arch.specs import get_gpu
 from repro.core.online import (
     OnlinePerformanceModel,
     OnlinePowerModel,
     RecursiveLeastSquares,
 )
 from repro.errors import ModelNotFittedError
-from repro.experiments import context
 from repro.experiments.ext_governor_online import (
     evaluate_online,
     regret_document,

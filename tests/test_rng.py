@@ -224,6 +224,10 @@ class TestStreamBankLanes:
         spans = draws.exponential(2.0, n).tolist()
         bank = StreamBank()
         bank._extend([(i,) for i in range(n)], words)
+        # A draw reads ``loc + scale * z`` and ``low + (high - low) * u``
+        # off the columns; rejected lanes resolve through a generator.
+        normals = bank.normals(np.arange(n)).tolist()
+        uniforms = bank.uniforms(np.arange(n)).tolist()
         bit_generator = np.random.PCG64(0)
         generator = np.random.Generator(bit_generator)
         mismatched = []
@@ -233,7 +237,7 @@ class TestStreamBankLanes:
             expect = (generator.normal(loc, scale),)
             _seed_from_words(bit_generator, row)
             expect += (generator.uniform(low, high),)
-            got = (bank.stream(i).normal(loc, scale), bank.stream(i).uniform(low, high))
+            got = (loc + scale * normals[i], low + (high - low) * uniforms[i])
             if not all(
                 type(g) is float and g.hex() == e.hex() for g, e in zip(got, expect)
             ):

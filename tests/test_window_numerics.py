@@ -1,10 +1,10 @@
-"""The numpy numerics the columnar meter window relies on.
+"""The numpy numerics the columnar meter window and cell kernel rely on.
 
-The window computes each grid's columns as array expressions and must
-produce the bytes a per-cell scalar computation produces.  That holds
-only while numpy's array kernels round exactly like the scalar calls
-they replace; each test pins one such agreement, so a numpy build (or
-SIMD target) that breaks it fails here first.
+The window and the cell kernel compute each grid's columns as array
+expressions and must produce the bytes a per-cell scalar computation
+produces.  That holds only while numpy's array kernels round exactly
+like the scalar calls they replace; each test pins one such agreement,
+so a numpy build (or SIMD target) that breaks it fails here first.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.phases import COLUMNS
+from repro.engine.thermal import thermal_columns
 from repro.instruments.powermeter import SAMPLE_INTERVAL_S
 
 finite_positive = st.floats(
@@ -91,3 +93,74 @@ class TestSampleTimes:
         for n in (1, 2, 10, 103, 4096, 12_847, 13_000):
             own = (np.arange(n) + 0.5) * interval
             assert own.tobytes() == shared[:n].tobytes()
+
+
+class TestCellKernel:
+    """The agreements the columnar run and counter kernels rely on."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        x=st.floats(min_value=1e-300, max_value=1e12),
+        y=st.floats(min_value=0.05, max_value=12.0),
+    )
+    def test_math_pow_matches_float_pow(self, x, y):
+        # Timing raises a clock ratio to the DRAM frequency exponent and
+        # takes the overlap-exponent generalized mean with ``**``; the
+        # columns map math.pow over the same positive finite operands.
+        assert math.pow(x, y) == x**y
+        assert COLUMNS.pow(np.array([x]), y).tolist() == [x**y]
+
+    def test_libm_pow_flags_what_float_pow_rejects(self):
+        column = COLUMNS.pow(
+            np.array([2.0, -8.0, 1e300, 0.0]), np.array([0.5, 1 / 3, 4.0, -1.0])
+        )
+        assert column[0] == 2.0**0.5
+        assert np.isnan(column[1:]).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(any_float, min_size=1, max_size=20))
+    def test_fmax_and_fmin_match_builtins_bound_first(self, values):
+        column = np.array(values)
+        for got, x in zip(np.fmax(0.1, column).tolist(), values):
+            assert _same(got, max(0.1, x))
+        for got, x in zip(np.fmin(1.0, column).tolist(), values):
+            assert _same(got, min(1.0, x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dynamic=st.lists(
+            st.floats(min_value=0.0, max_value=400.0), min_size=1, max_size=30
+        ),
+        static=st.floats(min_value=0.0, max_value=120.0),
+        ambient=st.sampled_from([18.0, 25.0, 45.0]),
+        r_th=st.floats(min_value=0.05, max_value=0.6),
+        max_iterations=st.sampled_from([0, 1, 3, 50]),
+    )
+    def test_masked_thermal_loop_stops_each_lane_where_the_scalar_loop_does(
+        self, dynamic, static, ambient, r_th, max_iterations
+    ):
+        die, power, _, iterations, valid = thermal_columns(
+            r_th, np.array(dynamic), static, ambient, COLUMNS, max_iterations
+        )
+        assert valid.all()
+        for i, d in enumerate(dynamic):
+            ref_die, ref_power, ref_iterations = _scalar_thermal(
+                r_th, d, static, ambient, max_iterations
+            )
+            assert int(np.broadcast_to(iterations, die.shape)[i]) == ref_iterations
+            assert die[i] == ref_die and power[i] == ref_power
+
+
+def _scalar_thermal(r_th, dynamic_w, static_w, ambient_c, max_iterations):
+    """The per-run fixed-point loop the masked loop replaced."""
+    t = ambient_c + r_th * (dynamic_w + static_w)
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        factor = max(0.1, 1.0 + 0.006 * (t - 70.0))
+        t_new = ambient_c + r_th * (dynamic_w + static_w * factor)
+        if abs(t_new - t) < 1e-6:
+            t = t_new
+            break
+        t = t_new
+    factor = max(0.1, 1.0 + 0.006 * (t - 70.0))
+    return t, dynamic_w + static_w * factor, iterations
